@@ -242,8 +242,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         out_path=args.out,
         report_path=args.report,
     )
+    if cfg.tau < 1:
+        raise InputError(f"--tau must be >= 1, got {cfg.tau}")
     if cfg.theta is not None and not float(cfg.theta).is_integer():
         raise InputError("--theta must be an integer or 'auto'")
+    if cfg.theta is not None and cfg.theta < 0:
+        raise InputError(f"--theta must be non-negative, got {cfg.theta:g}")
     if cfg.pipeline == "tmi" and cfg.rho is None:
         raise InputError("pipeline tmi requires --rho")
     inst = parse_inputs(cfg.in_path, cfg.patterns_path, cfg)

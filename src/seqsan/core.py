@@ -140,11 +140,23 @@ class SanitizationInstance:
         return self.text[i : i + self.k]
 
 
-def _occurrences(text: str, pattern: str) -> Iterator[int]:
+def _occurrences(text: str, pattern: str) -> list[int]:
+    """Start positions of every occurrence of `pattern`, overlaps included; none if it is empty."""
+    found: list[int] = []
+    if not pattern:
+        return found
     pos = text.find(pattern)
     while pos != -1:
-        yield pos
+        found.append(pos)
         pos = text.find(pattern, pos + 1)
+    return found
+
+
+def _windows(text: str, k: int) -> Iterator[str]:
+    """Every length-k window of `text` that contains no separator, left to right."""
+    for block in text.split(SEPARATOR):
+        for i in range(len(block) - k + 1):
+            yield block[i : i + k]
 
 
 def build_instance(
@@ -184,7 +196,7 @@ def build_instance(
     sens_positions: set[int] = set()
     sens_patterns: set[str] = set()
     for pat in sorted(wanted):
-        occ = list(_occurrences(text, pat))
+        occ = _occurrences(text, pat)
         if not occ:
             logger.warning("sensitive pattern %r does not occur in the input; nothing to conceal", pat)
             continue
@@ -217,24 +229,13 @@ def kmer_counts(text: str, k: int) -> Counter[str]:
     """
     if k < 1:
         raise BadK(f"k must be positive, got {k}")
-    counts: Counter[str] = Counter()
-    for block in text.split(SEPARATOR):
-        m = len(block)
-        for i in range(m - k + 1):
-            counts[block[i : i + k]] += 1
-    return counts
+    return Counter(_windows(text, k))
 
 
 def contains_sensitive(text: str, inst: SanitizationInstance) -> bool:
     """True iff some separator-free window of `text` is a sensitive pattern."""
-    if not inst.sensitive_patterns:
-        return False
-    k = inst.k
-    for block in text.split(SEPARATOR):
-        for i in range(len(block) - k + 1):
-            if block[i : i + k] in inst.sensitive_patterns:
-                return True
-    return False
+    sensitive = inst.sensitive_patterns
+    return bool(sensitive) and any(win in sensitive for win in _windows(text, inst.k))
 
 
 def overlap_chains(inst: SanitizationInstance) -> list[str]:

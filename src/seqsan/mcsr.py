@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
-from .core import SEPARATOR, SanitizationInstance, kmer_counts
+from .core import SEPARATOR, SanitizationInstance, _occurrences, _windows, kmer_counts
 from .errors import BadK, Infeasible
 
 EPSILON = ""  # deletion pseudo-letter
@@ -102,10 +102,12 @@ def context_string(text: str, sep_index: int, letter: str, k: int) -> str:
     neighbouring separators, since windows crossing another separator cannot
     contribute alphabet-only patterns.
     """
-    return _context(text, separator_positions(text), sep_index, letter, k)
+    left, right = _context(text, separator_positions(text), sep_index, k)
+    return left + letter + right
 
 
-def _context(text: str, positions: list[int], sep_index: int, letter: str, k: int) -> str:
+def _context(text: str, positions: list[int], sep_index: int, k: int) -> tuple[str, str]:
+    """The letters left and right of separator `sep_index` that a replacement exposes."""
     pos = positions[sep_index - 1]
     left = text[max(0, pos - k + 1) : pos]
     cut = left.rfind(SEPARATOR)
@@ -115,7 +117,7 @@ def _context(text: str, positions: list[int], sep_index: int, letter: str, k: in
     cut = right.find(SEPARATOR)
     if cut != -1:
         right = right[:cut]
-    return left + letter + right
+    return left, right
 
 
 def candidate_ghosts(text: str, k: int, tau: int, letters: str) -> GhostCandidateSet:
@@ -130,9 +132,9 @@ def candidate_ghosts(text: str, k: int, tau: int, letters: str) -> GhostCandidat
     choices = list(letters) + [EPSILON]
     for i in range(1, len(positions) + 1):
         best: dict[str, int] = defaultdict(int)
+        left, right = _context(text, positions, i, k)
         for choice in choices:
-            ctx = _context(text, positions, i, choice, k)
-            counts = Counter(ctx[t : t + k] for t in range(len(ctx) - k + 1))
+            counts = Counter(_windows(left + choice + right, k))
             for win, cnt in counts.items():
                 if cnt > best[win]:
                     best[win] = cnt
@@ -164,13 +166,12 @@ def build_mck(
     classes: list[tuple[MckElement, ...]] = []
     for i in range(1, len(positions) + 1):
         elements: list[MckElement] = []
-        left_len = _left_len(text, positions[i - 1], k)
-        ctx_start = positions[i - 1] - left_len
+        left, right = _context(text, positions, i, k)
+        ctx_start = positions[i - 1] - len(left)
         for choice in list(letters) + [EPSILON]:
             if banned and (i, choice) in banned:
                 continue
-            ctx = _context(text, positions, i, choice, k)
-            windows = [ctx[t : t + k] for t in range(len(ctx) - k + 1)]
+            windows = list(_windows(left + choice + right, k))
             if any(w in sensitive for w in windows):
                 continue
             if implausible is not None and any(w in implausible for w in windows):
@@ -184,14 +185,6 @@ def build_mck(
             raise Infeasible(f"no admissible choice for separator {i}; Z cannot be constructed")
         classes.append(tuple(elements))
     return MckInstance(classes=tuple(classes), capacity=cm.theta)
-
-
-def _left_len(text: str, pos: int, k: int) -> int:
-    left = text[max(0, pos - k + 1) : pos]
-    cut = left.rfind(SEPARATOR)
-    if cut != -1:
-        left = left[cut + 1 :]
-    return len(left)
 
 
 def solve_mck(inst: MckInstance) -> list[MckElement]:
@@ -267,24 +260,13 @@ def z_score(text: str, pattern: str) -> float:
     """
     if len(pattern) <= 2:
         raise ValueError("plausibility scores need patterns longer than 2")
-    freq = _overlapping_count(text, pattern)
-    mid = _overlapping_count(text, pattern[1:-1])
+    freq = len(_occurrences(text, pattern))
+    mid = len(_occurrences(text, pattern[1:-1]))
     if mid > 0:
-        expected = _overlapping_count(text, pattern[:-1]) * _overlapping_count(text, pattern[1:]) / mid
+        expected = len(_occurrences(text, pattern[:-1])) * len(_occurrences(text, pattern[1:])) / mid
     else:
         expected = 0.0
     return (freq - expected) / max(math.sqrt(expected), 1.0)
-
-
-def _overlapping_count(text: str, pattern: str) -> int:
-    if not pattern:
-        return 0
-    count = 0
-    pos = text.find(pattern)
-    while pos != -1:
-        count += 1
-        pos = text.find(pattern, pos + 1)
-    return count
 
 
 def implausible_set(text: str, k: int, rho: float) -> ImplausibleSet:

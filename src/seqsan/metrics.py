@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import SEPARATOR, SanitizationInstance, kmer_counts, overlap_chains
+from .core import SEPARATOR, SanitizationInstance, _occurrences, _windows, kmer_counts, overlap_chains
 from .errors import UndefinedWhenZero
 
 VERIFY_LEVELS = ("C1", "P1", "Pi1", "P2", "P3", "P4")
@@ -76,38 +76,23 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def _sigma_windows(text: str, k: int) -> list[str]:
-    out: list[str] = []
-    for block in text.split(SEPARATOR):
-        out.extend(block[i : i + k] for i in range(len(block) - k + 1))
-    return out
-
-
-def _count_occurrences(text: str, pattern: str) -> int:
-    count = 0
-    pos = text.find(pattern)
-    while pos != -1:
-        count += 1
-        pos = text.find(pattern, pos + 1)
-    return count
-
-
 def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResult:
     """Check one property level, returning a counterexample on failure."""
     text, k = inst.text, inst.k
     n = len(text)
 
     if level == "C1":
-        for block in candidate.split(SEPARATOR):
-            for i in range(len(block) - k + 1):
-                win = block[i : i + k]
-                if win in inst.sensitive_patterns:
-                    return VerifyResult(level, False, f"sensitive window {win!r} at block offset {i}")
+        for win in _windows(candidate, k):
+            if win in inst.sensitive_patterns:
+                # Windows come left to right, so the first occurrence of `win` is this one.
+                pos = candidate.find(win)
+                offset = pos - candidate.rfind(SEPARATOR, 0, pos) - 1
+                return VerifyResult(level, False, f"sensitive window {win!r} at block offset {offset}")
         return VerifyResult(level, True)
 
     if level == "P1":
         want = [text[i : i + k] for i in inst.nonsensitive_positions]
-        got = _sigma_windows(candidate, k)
+        got = list(_windows(candidate, k))
         if want != got:
             bad = next(
                 (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
@@ -119,14 +104,14 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
     if level == "Pi1":
         need = Counter(overlap_chains(inst))
         for chain, mult in need.items():
-            have = _count_occurrences(candidate, chain)
+            have = len(_occurrences(candidate, chain))
             if have < mult:
                 return VerifyResult(level, False, f"chain {chain!r} needed {mult}x, found {have}x")
         return VerifyResult(level, True)
 
     if level == "P2":
         want = Counter(text[i : i + k] for i in inst.nonsensitive_positions)
-        got = Counter(_sigma_windows(candidate, k))
+        got = kmer_counts(candidate, k)
         if want != got:
             diff = (want - got) + (got - want)
             pat = next(iter(diff))

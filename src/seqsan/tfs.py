@@ -9,16 +9,17 @@ emitted.  The result conceals every sensitive pattern while keeping each
 non-sensitive pattern at its original frequency and relative order, and no
 shorter string does.
 
-Two construction paths are provided: `tfs_sanitize` materializes the output,
-`tfs_compact` emits interval references into the input so the output never has
-to exist in memory.  Both paths must agree; the compact path answers its
-overlap queries with precomputed rolling-hash fingerprints instead of direct
-letter comparison.
+One exact state machine, `_intervals`, makes the construction; its overlap
+test compares letters directly.  It has two renderings: `tfs_sanitize` joins
+the source slices into the output string, and `tfs_compact` keeps them as
+interval references into the input, so the output never has to exist in
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import SEPARATOR, SanitizationInstance
 from .errors import OutOfBounds
@@ -52,18 +53,19 @@ class CompactTfs:
         return len(self.segments)
 
 
-def tfs_sanitize(inst: SanitizationInstance) -> str:
-    """Construct the shortest order- and frequency-preserving sanitized string.
+def _intervals(inst: SanitizationInstance) -> Iterator[tuple[int, int] | None]:
+    """The TFS state machine: inclusive source intervals of the output, None for '#'.
 
-    Returns the empty string when every window is sensitive.
+    Two intervals with no separator between them are never contiguous in the
+    source: a letter that continues the open interval extends it instead.
     """
     text, k, mask = inst.text, inst.k, inst.mask
     n = len(text)
 
     j = mask.find(0)
     if j == -1 or j + k - 1 >= n:
-        return ""
-    parts = [text[j : j + k]]
+        return
+    start, end = j, j + k - 1
     j += k
     f = -1
 
@@ -76,7 +78,7 @@ def tfs_sanitize(inst: SanitizationInstance) -> str:
             nxt = mask.find(1, c)
             if nxt == -1:
                 nxt = n
-            parts.append(text[j : nxt + k - 1])
+            end = min(nxt + k - 2, n - 1)
             j = nxt + k - 1
         elif mp == 0 and mc == 1:
             f = c
@@ -89,107 +91,33 @@ def tfs_sanitize(inst: SanitizationInstance) -> str:
                 j = nxt + k - 1
         else:  # leaving a sensitive stretch at a non-sensitive window
             if text[c : c + k - 1] == text[f : f + k - 1]:
-                parts.append(text[j])
+                # One letter joins the current block; it is only contiguous
+                # with the open interval when no sensitive stretch intervened.
+                if j != end + 1:
+                    yield start, end
+                    start = j
+                end = j
             else:
-                parts.append(SEPARATOR)
-                parts.append(text[c : j + 1])
+                yield start, end
+                yield None
+                start, end = c, j
             j += 1
 
-    return "".join(parts)
+    yield start, end
 
 
-_MOD1 = (1 << 61) - 1
-_MOD2 = (1 << 31) - 1
-_BASE1 = 131
-_BASE2 = 1_000_003
+def tfs_sanitize(inst: SanitizationInstance) -> str:
+    """Construct the shortest order- and frequency-preserving sanitized string.
 
-
-class _Fingerprints:
-    """Rolling-hash substring fingerprints with O(1) equality queries.
-
-    Two independent moduli keep the collision probability across the O(n)
-    queries of one construction far below 2^-40.
+    Returns the empty string when every window is sensitive.
     """
-
-    def __init__(self, text: str):
-        n = len(text)
-        h1 = [0] * (n + 1)
-        h2 = [0] * (n + 1)
-        p1 = [1] * (n + 1)
-        p2 = [1] * (n + 1)
-        for i, ch in enumerate(text):
-            o = ord(ch)
-            h1[i + 1] = (h1[i] * _BASE1 + o) % _MOD1
-            h2[i + 1] = (h2[i] * _BASE2 + o) % _MOD2
-            p1[i + 1] = (p1[i] * _BASE1) % _MOD1
-            p2[i + 1] = (p2[i] * _BASE2) % _MOD2
-        self._h1, self._h2, self._p1, self._p2 = h1, h2, p1, p2
-
-    def equal(self, a: int, b: int, length: int) -> bool:
-        """Whether text[a:a+length] == text[b:b+length]."""
-        if length <= 0:
-            return True
-        h1, h2, p1, p2 = self._h1, self._h2, self._p1, self._p2
-        fa1 = (h1[a + length] - h1[a] * p1[length]) % _MOD1
-        fb1 = (h1[b + length] - h1[b] * p1[length]) % _MOD1
-        if fa1 != fb1:
-            return False
-        fa2 = (h2[a + length] - h2[a] * p2[length]) % _MOD2
-        fb2 = (h2[b + length] - h2[b] * p2[length]) % _MOD2
-        return fa2 == fb2
+    text = inst.text
+    return "".join(SEPARATOR if iv is None else text[iv[0] : iv[1] + 1] for iv in _intervals(inst))
 
 
 def tfs_compact(inst: SanitizationInstance) -> CompactTfs:
     """Interval-form construction; never materializes the output string."""
-    text, k, mask = inst.text, inst.k, inst.mask
-    n = len(text)
-
-    j = mask.find(0)
-    if j == -1 or j + k - 1 >= n:
-        return CompactTfs(segments=())
-
-    fp = _Fingerprints(text)
-    segments: list[Segment] = []
-    cur_start, cur_end = j, j + k - 1
-    j += k
-    f = -1
-
-    while j < n:
-        p = j - k
-        c = p + 1
-        mp, mc = mask[p], mask[c]
-        if mp == 0 and mc == 0:
-            nxt = mask.find(1, c)
-            if nxt == -1:
-                nxt = n
-            cur_end = min(nxt + k - 2, n - 1)
-            j = nxt + k - 1
-        elif mp == 0 and mc == 1:
-            f = c
-            j += 1
-        elif mp == 1 and mc == 1:
-            nxt = mask.find(0, c)
-            if nxt == -1:
-                j = n
-            else:
-                j = nxt + k - 1
-        else:
-            if fp.equal(c, f, k - 1):
-                # One letter joins the current block; it is only contiguous
-                # with the open interval when no sensitive stretch intervened.
-                if j == cur_end + 1:
-                    cur_end = j
-                else:
-                    segments.append(Interval(cur_start, cur_end))
-                    cur_start = cur_end = j
-            else:
-                segments.append(Interval(cur_start, cur_end))
-                segments.append(SEP_SEGMENT)
-                cur_start, cur_end = c, j
-            j += 1
-
-    segments.append(Interval(cur_start, cur_end))
-    return CompactTfs(segments=tuple(segments))
+    return CompactTfs(segments=tuple(SEP_SEGMENT if iv is None else Interval(*iv) for iv in _intervals(inst)))
 
 
 def expand(compact: CompactTfs, text: str) -> str:

@@ -67,6 +67,14 @@ def test_infeasible_exit_code(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("flag, value", [("--tau", "0"), ("--theta", "-1")])
+def test_bad_parameter_fails_before_reading_input(tmp_path, capsys, flag, value):
+    missing = str(tmp_path / "absent.txt")
+    code = main(["sanitize", "--pipeline", "tpm", "--k", "2", flag, value, "--in", missing, "--patterns", missing])
+    assert code == EXIT_INPUT_ERROR
+    assert flag in capsys.readouterr().err
+
+
 def test_separator_in_input_is_input_error(tmp_path):
     w = write(tmp_path / "w.txt", "ab#ab\n")
     p = write(tmp_path / "p.txt", "ab\n")

@@ -1,0 +1,25 @@
+"""The runtime imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "seqsan").glob("*.py"))
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one file; relative imports stay in the package."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_imports_only_stdlib():
+    assert SOURCES
+    for path in SOURCES:
+        foreign = {m for m in imported_modules(path) if m != "seqsan" and m not in sys.stdlib_module_names}
+        assert not foreign, f"{path.name} imports {sorted(foreign)}"

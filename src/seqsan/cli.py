@@ -175,7 +175,7 @@ def run_pipeline(cfg: RunConfig, inst: SanitizationInstance) -> tuple[str, mt.Me
         report.lengths["x"] = len(x)
         out = x
     if cfg.pipeline in ("pfs", "tpm"):
-        y = timed("pfs", pfs_sanitize, inst)
+        y = timed("pfs", pfs_sanitize, inst, x)
         report.lengths["y"] = len(y)
         out = y
     if cfg.pipeline in ("tpm", "tm", "tmi"):
@@ -205,8 +205,7 @@ def run_pipeline(cfg: RunConfig, inst: SanitizationInstance) -> tuple[str, mt.Me
         report.lengths["zba"] = len(out)
 
     report.lengths["output"] = len(out)
-    report.distortion = mt.distortion(inst.text, out, inst.k, inst.sensitive_patterns)
-    lost, ghost = mt.lost_ghost(inst.text, out, inst.k, cfg.tau, inst.sensitive_patterns)
+    report.distortion, lost, ghost = mt.frequency_changes(inst.text, out, inst.k, cfg.tau, inst.sensitive_patterns)
     report.lost = sorted(lost)
     report.ghost = sorted(ghost)
     return out, report

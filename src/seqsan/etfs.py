@@ -12,8 +12,14 @@ epsilon-automaton with symbolic any-letter edges and run an edit-distance
 dynamic program over (input position, automaton state), then trace back a
 witness.
 
-For long inputs the traceback checkpoints distance columns and re-derives
-parent pointers window by window, keeping memory linear in the automaton.
+Each column takes one sweep over the states in order: every in-column edge
+but the filler loops' '#' back-edges runs forward, and those never lower a
+value.  Ukkonen's cut-off keeps a column to the band of states valued at most
+a bound D, which starts at the distance to the TFS output (the language's
+shortest member) and doubles if the optimum lies above it, so a pass costs
+about n * D instead of n * |automaton|.  The traceback re-derives parents
+from stored bands; for long inputs only every 64th band is kept and the
+columns between are recomputed window by window.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 
 from .core import SEPARATOR, Alphabet, SanitizationInstance
 from .errors import NoNonSensitive
+from .metrics import edit_distance
 
 ANY = -1  # consuming-edge label: any single alphabet letter
 _FULL_TRACE_CELLS = 4_000_000
@@ -71,6 +78,14 @@ class SanRegex:
             else:
                 total += gadget + len(seg.pattern)
         return total
+
+    def shortest_member(self) -> str:
+        """Fuse every Merge and separate every Gap by one '#': the TFS output."""
+        if self.head is None:
+            return ""
+        return self.head + "".join(
+            seg.short if isinstance(seg, Merge) else SEPARATOR + seg.pattern for seg in self.segments
+        )
 
     def to_pattern(self) -> str:
         """Equivalent `re` pattern, for independent membership checking."""
@@ -130,210 +145,196 @@ class _Automaton:
         self.n_states = 1
         self.cons: list[tuple[int, int, int]] = []  # (src, dst, label ord or ANY)
         self.eps: list[tuple[int, int]] = []
-        k = regex.k
-
-        def new() -> int:
-            self.n_states += 1
-            return self.n_states - 1
-
-        def sigma_run(src: int) -> int:
-            cur = src
-            for _ in range(k - 1):
-                nxt = new()
-                self.cons.append((cur, nxt, ANY))
-                self.eps.append((cur, nxt))
-                cur = nxt
-            return cur
-
-        def literal(src: int, s: str) -> int:
-            cur = src
-            for ch in s:
-                nxt = new()
-                self.cons.append((cur, nxt, ord(ch)))
-                cur = nxt
-            return cur
-
         sep = ord(SEPARATOR)
-        start = 0
+
+        def chain(src: int, labels) -> int:
+            """One new state per label after `src`; an ANY step may also be skipped."""
+            for lab in labels:
+                self.n_states += 1
+                self.cons.append((src, self.n_states - 1, lab))
+                if lab == ANY:
+                    self.eps.append((src, self.n_states - 1))
+                src = self.n_states - 1
+            return src
+
+        def loop(head: int) -> int:
+            """Filler at `head`: up to k-1 letters, then '#' back to the head."""
+            last = chain(head, [ANY] * (regex.k - 1))
+            self.cons.append((last, head, sep))
+            return last
+
         if regex.head is None:
-            p = sigma_run(start)
-            h = new()
-            self.cons.append((p, h, sep))
-            q = sigma_run(h)
-            self.cons.append((q, h, sep))
-            acc = new()
-            self.eps.append((p, acc))
-            self.eps.append((q, acc))
-            self.accept = acc
-            return
-
-        r = sigma_run(start)
-        self.cons.append((r, start, sep))  # leading filler loops back to the head
-        cur = literal(start, regex.head)
-        for seg in regex.segments:
-            branch = cur
-            h = new()
-            self.cons.append((branch, h, sep))
-            p = sigma_run(h)
-            self.cons.append((p, h, sep))
-            cur = literal(h, seg.pattern)
-            if isinstance(seg, Merge):
-                self.cons.append((branch, cur, ord(seg.short)))
-        h = new()
-        self.cons.append((cur, h, sep))
-        q = sigma_run(h)
-        self.cons.append((q, h, sep))
-        acc = new()
-        self.eps.append((cur, acc))
-        self.eps.append((q, acc))
-        self.accept = acc
+            cur = chain(0, [ANY] * (regex.k - 1))
+        else:
+            loop(0)  # leading filler loops back to the start
+            cur = chain(0, map(ord, regex.head))
+            for seg in regex.segments:
+                h = chain(cur, [sep])
+                loop(h)
+                nxt = chain(h, map(ord, seg.pattern))
+                if isinstance(seg, Merge):
+                    self.cons.append((cur, nxt, ord(seg.short)))
+                cur = nxt
+        h = chain(cur, [sep])
+        last = loop(h)
+        self.accept = self.n_states
+        self.n_states += 1
+        self.eps += [(cur, self.accept), (last, self.accept)]
 
 
-INF = float("inf")
+INF = 1 << 60  # above every distance the DP can reach
+
+
+def _value(band: tuple[int, list[int]], x: int) -> int:
+    lo, vals = band
+    return vals[x - lo] if lo <= x < lo + len(vals) else INF
 
 
 class _Matcher:
-    """Edit-distance DP over (input position, automaton state)."""
+    """Edit-distance DP over (input position, automaton state), one band per column.
+
+    A state's candidates come in one fixed order: delete the input letter,
+    consume it on an edge into the state (edge order), then reach the state
+    inside the column by an epsilon move (cost 0) or an inserted letter
+    (cost 1) in (source, cost, edge) order.  Its parent is the first candidate
+    with the least value, so the forward pass keeps values only and the
+    traceback re-derives each parent from the stored bands.
+    """
 
     def __init__(self, auto: _Automaton, letters: str):
         self.auto = auto
         self.letters = letters
-        # In-column edges: epsilon moves cost 0, generate-without-consuming costs 1.
-        in_edges = [(src, 0, dst, -1) for src, dst in auto.eps]
-        in_edges += [(src, 1, dst, e) for e, (src, dst, _lab) in enumerate(auto.cons)]
-        in_edges.sort()
-        self.in_edges = in_edges
-        self.cons = auto.cons
+        n = auto.n_states
+        self.cons_in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (src, label)
+        self.col_in: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (src, cost, label)
+        for src, dst, lab in auto.cons:
+            self.cons_in[dst].append((src, lab))
+        in_edges = [(src, 0, dst, -1, ANY) for src, dst in auto.eps]
+        in_edges += [(src, 1, dst, e, lab) for e, (src, dst, lab) in enumerate(auto.cons)]
+        for src, w, dst, _e, lab in sorted(in_edges):
+            # The only backward edge is the '#' closing a filler loop p -> h.  A
+            # value at p comes through h or from the previous column at a loop
+            # state, where p is epsilon-reachable and so no worse; consuming the
+            # letter as '#' on this edge already offered h that value plus one.
+            # So the back-edge never lowers h, and one sweep in state order
+            # reaches the fixpoint.  A later edge from the same source costs no
+            # less, so it never wins either.
+            if src < dst and all(s != src for s, _w, _lab in self.col_in[dst]):
+                self.col_in[dst].append((src, w, lab))
+        # A band [lo, hi] feeds the next column only from lo - behind to hi + ahead.
+        jumps = [dst - src for src, dst, _lab in auto.cons] + [dst - src for src, dst in auto.eps]
+        self.ahead, self.behind = max(jumps, default=0), max(0, -min(jumps, default=0))
 
-    def _relax(self, col: list[float]) -> None:
-        edges = self.in_edges
-        changed = True
-        while changed:
-            changed = False
-            for src, w, dst, _e in edges:
-                v = col[src] + w
-                if v < col[dst]:
-                    col[dst] = v
-                    changed = True
+    def _column(self, prev: list[int], cur: list[int], oc: int, x: int, limit: int, bound: int) -> tuple[int, int, int]:
+        """Fill `cur` from `prev` for letter code `oc`, sweeping states from `x` in order.
 
-    def _relax_recording(self, col: list[float], ops: list[int], refs: list[int]) -> None:
-        edges = self.in_edges
-        changed = True
-        while changed:
-            changed = False
-            for src, w, dst, e in edges:
-                v = col[src] + w
-                if v < col[dst]:
-                    col[dst] = v
-                    if e < 0:
-                        ops[dst] = 4
-                        refs[dst] = src
-                    else:
-                        ops[dst] = 3
-                        refs[dst] = e
-                    changed = True
+        The sweep ends past `limit`, which grows with each state valued at most
+        `bound`.  Returns the first and last such state (-1 when there is none)
+        and the end of the filled range.
+        """
+        cons_in, col_in, ahead, last = self.cons_in, self.col_in, self.ahead, len(cur) - 1
+        lo = hi = -1
+        while x <= limit:
+            v = cur[x]
+            u = prev[x] + 1
+            if u < v:
+                v = u
+            for s, lab in cons_in[x]:
+                u = prev[s] if lab == ANY or lab == oc else prev[s] + 1
+                if u < v:
+                    v = u
+            for s, w, _lab in col_in[x]:
+                u = cur[s] + w
+                if u < v:
+                    v = u
+            cur[x] = v
+            if v <= bound:
+                if lo < 0:
+                    lo = x
+                hi = x
+                if x + ahead > limit:
+                    limit = min(x + ahead, last)
+            x += 1
+        return lo, hi, x
 
-    def _column0(self, record: bool):
-        col = [INF] * self.auto.n_states
-        col[0] = 0
-        if not record:
-            self._relax(col)
-            return col, None
-        ops = [0] * self.auto.n_states
-        refs = [0] * self.auto.n_states
-        self._relax_recording(col, ops, refs)
-        return col, (ops, refs)
+    def _sweep(self, band: tuple[int, list[int]], codes: list[int], bound: int):
+        """The band after `band` for each letter code in turn; stops at a band with no state."""
+        lo, vals = band
+        prev, cur = [INF] * self.auto.n_states, [INF] * self.auto.n_states
+        prev[lo : lo + len(vals)] = vals
+        filled, stale = (lo, lo + len(vals)), (0, 0)
+        for oc in codes:
+            cur[stale[0] : stale[1]] = [INF] * (stale[1] - stale[0])
+            start = max(0, lo - self.behind)
+            lo, hi, end = self._column(prev, cur, oc, start, min(len(cur) - 1, lo + len(vals) - 1 + self.ahead), bound)
+            if lo < 0:
+                return
+            vals = cur[lo : hi + 1]
+            yield lo, vals
+            filled, stale = (start, end), filled
+            prev, cur = cur, prev
 
-    def _advance(self, col: list[float], oc: int, record: bool):
-        nxt = [v + 1 for v in col]
-        if not record:
-            for src, dst, lab in self.cons:
-                v = col[src] + (0 if (lab == ANY or lab == oc) else 1)
-                if v < nxt[dst]:
-                    nxt[dst] = v
-            self._relax(nxt)
-            return nxt, None
-        ops = [1] * self.auto.n_states
-        refs = list(range(self.auto.n_states))
-        for e, (src, dst, lab) in enumerate(self.cons):
-            v = col[src] + (0 if (lab == ANY or lab == oc) else 1)
-            if v < nxt[dst]:
-                nxt[dst] = v
-                ops[dst] = 2
-                refs[dst] = e
-        self._relax_recording(nxt, ops, refs)
-        return nxt, (ops, refs)
-
-    def match(self, text: str) -> MatchResult:
+    def match(self, text: str, bound: int) -> MatchResult:
+        """Closest member to `text`, with the cut-off starting at `bound` and
+        doubling until the accept state falls within it."""
         n = len(text)
         codes = [ord(ch) for ch in text]
-        full = (n + 1) * self.auto.n_states <= _FULL_TRACE_CELLS
-        stride = n + 1 if full else _CHECKPOINT_STRIDE
+        stride = 1 if (n + 1) * self.auto.n_states <= _FULL_TRACE_CELLS else _CHECKPOINT_STRIDE
+        while True:
+            first = [INF] * self.auto.n_states
+            first[0] = 0
+            lo, hi, _end = self._column([INF] * self.auto.n_states, first, ANY, 0, 0, bound)  # nothing read yet
+            bands = {0: (lo, first[lo : hi + 1])}
+            j, band = 0, bands[0]
+            for j, band in enumerate(self._sweep(band, codes, bound), start=1):
+                if j % stride == 0 or j == n:
+                    bands[j] = band
+            distance = _value(band, self.auto.accept) if j == n else INF
+            if distance <= bound:
+                break
+            bound = 2 * bound + 1
 
-        checkpoints: dict[int, list[float]] = {}
-        col, _ = self._column0(record=False)
-        for i in range(n):
-            col, _ = self._advance(col, codes[i], record=False)
-            if (i + 1) % stride == 0 and i + 1 < n:
-                checkpoints[i + 1] = col[:]
-        distance = col[self.auto.accept]
+        window: dict[int, tuple[int, list[int]]] = {}
 
-        pieces: list[str] = []
-        trace_rev: list[tuple[str, str]] = []
-        state = self.auto.accept
-        i = n
-        boundaries = [0] + sorted(checkpoints)
+        def band_at(j: int) -> tuple[int, list[int]]:
+            if j not in bands and j not in window:  # recompute the columns after a checkpoint
+                c = j - j % stride
+                window.clear()
+                window.update(enumerate(self._sweep(bands[c], codes[c : c + stride - 1], bound), start=c + 1))
+            return bands[j] if j in bands else window[j]
+
+        trace: list[tuple[str, str]] = []
         min_letter = self.letters[0] if self.letters else SEPARATOR
-        done = False
-        while not done:
-            hi = i
-            lo = max(b for b in boundaries if b < hi) if hi > 0 else 0
-            records: dict[int, tuple[list[int], list[int]]] = {}
-            if lo == 0:
-                c, rec = self._column0(record=True)
-                records[0] = rec
-            else:
-                c = checkpoints[lo]
-            for j in range(lo, hi):
-                c, rec = self._advance(c, codes[j], record=True)
-                records[j + 1] = rec
-            while True:
-                if i == lo and lo > 0:
-                    break  # resume in the previous window
-                ops, refs = records[i]
-                op = ops[state]
-                if op == 0:
-                    done = True
-                    break
-                if op == 1:
-                    trace_rev.append(("delete", text[i - 1]))
-                    i -= 1
-                elif op == 2:
-                    e = refs[state]
-                    src, _dst, lab = self.cons[e]
-                    ch = text[i - 1] if lab == ANY else chr(lab)
-                    trace_rev.append(("match" if ch == text[i - 1] else "substitute", ch))
-                    pieces.append(ch)
-                    state = src
-                    i -= 1
-                elif op == 3:
-                    e = refs[state]
-                    src, _dst, lab = self.cons[e]
-                    ch = min_letter if lab == ANY else chr(lab)
-                    trace_rev.append(("insert", ch))
-                    pieces.append(ch)
-                    state = src
-                else:
-                    state = refs[state]
+        j, x = n, self.auto.accept
+        while j or x:
+            cur = band_at(j)
+            v = _value(cur, x)
+            if j:
+                prev, ch, oc = band_at(j - 1), text[j - 1], codes[j - 1]
+                if _value(prev, x) + 1 == v:
+                    trace.append(("delete", ch))
+                    j -= 1
+                    continue
+                step = next((e for e in self.cons_in[x] if _value(prev, e[0]) + (e[1] not in (ANY, oc)) == v), None)
+                if step is not None:
+                    x, lab = step
+                    out = ch if lab == ANY else chr(lab)
+                    trace.append(("match" if out == ch else "substitute", out))
+                    j -= 1
+                    continue
+            x, w, lab = next(e for e in self.col_in[x] if _value(cur, e[0]) + e[1] == v)
+            if w:
+                trace.append(("insert", min_letter if lab == ANY else chr(lab)))
 
-        witness = "".join(reversed(pieces))
-        return MatchResult(text=witness, distance=int(distance), trace=tuple(reversed(trace_rev)))
+        trace.reverse()
+        witness = "".join(out for op, out in trace if op != "delete")
+        return MatchResult(text=witness, distance=distance, trace=tuple(trace))
 
 
 def approx_regex_match(text: str, regex: SanRegex) -> MatchResult:
     """Closest string in the language of `regex` to `text`, with a witness."""
     matcher = _Matcher(_Automaton(regex), regex.letters)
-    return matcher.match(text)
+    return matcher.match(text, edit_distance(text, regex.shortest_member()))
 
 
 def etfs_sanitize(inst: SanitizationInstance) -> MatchResult:

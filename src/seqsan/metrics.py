@@ -196,20 +196,40 @@ def ba_sanitize(inst: SanitizationInstance) -> str:
     return "".join(seq)
 
 
+def frequency_changes(
+    source: str,
+    output: str,
+    k: int,
+    tau: int,
+    sensitive: frozenset[str] | set[str] = frozenset(),
+) -> tuple[float, set[str], set[str]]:
+    """`distortion` and `lost_ghost` from one pair of k-mer counts and one walk of their keys."""
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    want = kmer_counts(source, k)
+    got = kmer_counts(output, k)
+    total = 0.0
+    lost = set()
+    ghost = set()
+    for pat in want.keys() | got.keys():
+        if pat in sensitive:
+            continue
+        before, after = want[pat], got[pat]
+        total += (before - after) ** 2
+        if before >= tau > after:
+            lost.add(pat)
+        elif before < tau <= after:
+            ghost.add(pat)
+    return total, lost, ghost
+
+
 def distortion(source: str, output: str, k: int, sensitive: frozenset[str] | set[str] = frozenset()) -> float:
     """Sum of squared frequency changes over non-sensitive patterns.
 
     Patterns are drawn from the union of windows occurring in either string;
     sensitive patterns are excluded (their removal is the point, not noise).
     """
-    want = kmer_counts(source, k)
-    got = kmer_counts(output, k)
-    total = 0.0
-    for pat in want.keys() | got.keys():
-        if pat in sensitive:
-            continue
-        total += (want[pat] - got[pat]) ** 2
-    return total
+    return frequency_changes(source, output, k, 1, sensitive)[0]
 
 
 def lost_ghost(
@@ -223,39 +243,41 @@ def lost_ghost(
 
     Sensitive patterns are excluded: losing them is the mandate, not a defect.
     """
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    want = kmer_counts(source, k)
-    got = kmer_counts(output, k)
-    lost = set()
-    ghost = set()
-    for pat in want.keys() | got.keys():
-        if pat in sensitive:
-            continue
-        before, after = want[pat], got[pat]
-        if before >= tau > after:
-            lost.add(pat)
-        elif before < tau <= after:
-            ghost.add(pat)
+    _total, lost, ghost = frequency_changes(source, output, k, tau, sensitive)
     return lost, ghost
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance with unit insert, delete, and substitute."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
+    """Levenshtein distance with unit insert, delete, and substitute.
+
+    Ukkonen's cut-off: a pass at threshold t fills only the diagonals that an
+    alignment costing at most t can touch, and t doubles until the distance
+    falls within it, so the work is about len(a) times the distance.
+    """
+    if len(a) > len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(b, start=1):
-            append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    m, n = len(a), len(b)
+    t = n - m
+    while True:
+        inf = n + t + 1
+        # A cell on diagonal j - i lies on no alignment cheaper than |j - i| + |n - m - (j - i)|.
+        dlo, dhi = -((t - n + m) // 2), n - m + (t - n + m) // 2
+        prev, cur = [inf] * (n + 1), [inf] * (n + 1)
+        prev[: min(n, dhi) + 1] = range(min(n, dhi) + 1)
+        for i, ca in enumerate(a, start=1):
+            jlo, jhi = max(1, i + dlo), min(n, i + dhi)
+            left = cur[jlo - 1] = i if jlo == 1 else inf
+            for j in range(jlo, jhi + 1):
+                v = prev[j - 1] if ca == b[j - 1] else prev[j - 1] + 1
+                if prev[j] < v:
+                    v = prev[j] + 1
+                if left < v:
+                    v = left + 1
+                cur[j] = left = v
+            prev, cur = cur, prev
+        if prev[n] <= t:
+            return prev[n]
+        t = 2 * t + 1
 
 
 def edre(source: str, heuristic_output: str, optimal_output: str) -> float:

@@ -160,9 +160,10 @@ def assemble(blocks: list[str], ordering: list[list[int]], ell: int) -> str:
     return SEPARATOR.join(chunks)
 
 
-def pfs_sanitize(inst: SanitizationInstance) -> str:
-    """Shortest chain- and frequency-preserving sanitized string."""
-    x = tfs_sanitize(inst)
+def pfs_sanitize(inst: SanitizationInstance, x: str | None = None) -> str:
+    """Shortest chain- and frequency-preserving sanitized string; `x` is its TFS output if already built."""
+    if x is None:
+        x = tfs_sanitize(inst)
     if SEPARATOR not in x:
         return x
     blocks = split_blocks(x)

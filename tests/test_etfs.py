@@ -13,8 +13,12 @@ from seqsan import (
     tfs_sanitize,
     verify,
 )
-from seqsan.etfs import Gap, Merge, _Automaton
+from seqsan.etfs import ANY, INF, Gap, Merge, _Automaton, _Matcher
 from conftest import random_instance
+
+
+def _regex(inst):
+    return build_regex(inst) if inst.nonsensitive_positions else fallback_regex(inst.alphabet, inst.k)
 
 
 class TestBuildRegex:
@@ -42,6 +46,14 @@ class TestBuildRegex:
         assert regex.matches("aaabaccb#cbbb")
         assert not regex.matches("aaabaccbcbbb")  # gap junction cannot fuse
         assert not regex.matches(example_merge_chain.text)
+
+    def test_shortest_member_is_the_tfs_output(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            inst = random_instance(rng, n_min=4, n_max=40)
+            regex = _regex(inst)
+            assert regex.shortest_member() == tfs_sanitize(inst)
+            assert regex.matches(regex.shortest_member())
 
     def test_fallback_language(self):
         inst = build_instance("aaaaaab", 4, patterns=["aaaa", "aaab"])
@@ -90,6 +102,41 @@ class TestApproxRegexMatch:
         assert consumed == len(example_merge_chain.text)
         assert emitted == res.text
         assert cost == res.distance
+
+    def test_one_sweep_reaches_the_fixpoint(self):
+        # No in-column edge, the '#' back-edges included, can lower a swept column.
+        rng = random.Random(22)
+        for _ in range(40):
+            inst = random_instance(rng, n_min=4, n_max=30)
+            auto = _Automaton(_regex(inst))
+            matcher = _Matcher(auto, inst.alphabet.chars)
+            prev, cur = [INF] * auto.n_states, [INF] * auto.n_states
+            cur[0] = 0
+            for j, oc in enumerate([ANY] + [ord(ch) for ch in inst.text]):  # column 0 reads no letter
+                if j:
+                    prev, cur = cur, [INF] * auto.n_states
+                matcher._column(prev, cur, oc, 0, 0, INF)
+                assert all(cur[src] >= cur[dst] for src, dst in auto.eps)
+                assert all(cur[src] + 1 >= cur[dst] for src, dst, _lab in auto.cons)
+
+    def test_cut_off_does_not_change_the_result(self):
+        import seqsan.etfs as etfs_mod
+
+        rng = random.Random(23)
+        for case in range(60):
+            inst = random_instance(rng, n_min=4, n_max=50)
+            regex = _regex(inst)
+            matcher = _Matcher(_Automaton(regex), regex.letters)
+            saved = etfs_mod._FULL_TRACE_CELLS
+            try:
+                if case % 3 == 0:
+                    etfs_mod._FULL_TRACE_CELLS = 0  # windowed reconstruction
+                unbounded = matcher.match(inst.text, INF)
+                doubled = matcher.match(inst.text, 0)  # doubles until the distance fits
+            finally:
+                etfs_mod._FULL_TRACE_CELLS = saved
+            assert doubled == unbounded
+            assert etfs_sanitize(inst) == unbounded
 
 
 class TestEtfsSanitize:

@@ -18,6 +18,7 @@ from seqsan import (
     verify_levels,
 )
 from seqsan.metrics import MetricsReport
+from seqsan.oracles import _levenshtein
 from conftest import random_instance
 
 
@@ -144,6 +145,16 @@ class TestEditDistance:
             for b in words[:6]:
                 for c in words[:6]:
                     assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
+
+    def test_cut_off_matches_full_table(self):
+        rng = random.Random(31)
+        cases = [("", ""), ("", "ab#"), ("abc", ""), ("abcab", "abcab"), ("a" * 40, "b"), ("ab" * 30, "ba")]
+        for _ in range(400):
+            a = "".join(rng.choices("abc", k=rng.randint(0, 30)))
+            b = "".join(rng.choices("abc#", k=rng.randint(0, 30)))
+            cases += [(a, b), (a, a[: rng.randint(0, len(a))] + b[:2]), (a + b * 3, a)]
+        for a, b in cases:
+            assert edit_distance(a, b) == _levenshtein(a, b), (a, b)
 
 
 class TestEdre:

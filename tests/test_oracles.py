@@ -9,9 +9,11 @@ from seqsan import (
     MckInstance,
     OracleBudget,
     build_instance,
+    build_regex,
     edit_distance,
     etfs_sanitize,
     expand,
+    fallback_regex,
     oracle_fo_ssm,
     oracle_mck,
     oracle_min_etfs,
@@ -87,6 +89,26 @@ class TestOracleMinEtfs:
             dist, witness = oracle_min_etfs(inst)
             assert dist == etfs_sanitize(inst).distance
             assert edit_distance(inst.text, witness) == dist
+
+    def test_engine_on_wide_sweep(self):
+        rng = random.Random(28)
+        budget = OracleBudget(max_sigma=3, max_len=14)  # the longest searches take seconds each
+        ran = skipped = 0
+        for _ in range(1000):
+            inst = random_instance(rng, n_min=2, n_max=8, sigmas=(1, 2, 3), ks=(1, 2, 3, 4))
+            try:
+                dist, _ = oracle_min_etfs(inst, budget)
+            except BudgetExceeded:
+                skipped += 1
+                continue
+            ran += 1
+            res = etfs_sanitize(inst)
+            case = (inst.text, inst.k, sorted(inst.sensitive_patterns))
+            assert res.distance == dist, case
+            regex = build_regex(inst) if inst.nonsensitive_positions else fallback_regex(inst.alphabet, inst.k)
+            assert regex.matches(res.text), case
+            assert edit_distance(inst.text, res.text) == res.distance, case
+        assert ran >= 4 * skipped, f"{skipped} of {ran + skipped} instances exceeded the oracle budget"
 
 
 class TestOracleMck:

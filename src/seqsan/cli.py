@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import random
+import re
+import string
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import metrics as mt
 from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance
@@ -43,26 +45,11 @@ EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
 
 PIPELINES = ("tpm", "tm", "tmi", "etfs", "ba", "tfs", "pfs")
+_MCSR_PIPELINES = ("tpm", "tm", "tmi")  # the pipelines that end in separator replacement
 
 
 class InputError(SanitizationError):
-    """A file failed to parse; the message names the offending line/column."""
-
-
-@dataclass
-class RunConfig:
-    pipeline: str
-    k: int
-    tau: int = 1
-    theta: float | None = None  # None = auto: the separator count of the stage input
-    rho: float | None = None
-    mode: str = "char"
-    cost_model: str = "uniform"
-    in_path: str = ""
-    patterns_path: str = ""
-    positions: bool = False
-    out_path: str | None = None
-    report_path: str | None = None
+    """A malformed command line, or a file that failed to parse; the message names the flag or line/column."""
 
 
 def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
@@ -85,13 +72,11 @@ def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
     if len(lines) > 1:
         raise InputError(f"{path}:2:1: char-mode input must be a single line")
     text = lines[0]
-    for col, ch in enumerate(text, start=1):
-        if ch == SEPARATOR:
-            raise InputError(f"{path}:1:{col}: reserved separator '#' in input")
-        if ch.isspace():
-            raise InputError(f"{path}:1:{col}: whitespace inside char-mode sequence")
-    alphabet = Alphabet.from_text(text)
-    return text, alphabet
+    bad = re.search(r"[#\s]", text)  # SEPARATOR or whitespace; `\s` matches exactly what str.isspace() accepts
+    if bad:
+        what = "reserved separator '#' in input" if bad.group() == SEPARATOR else "whitespace inside char-mode sequence"
+        raise InputError(f"{path}:1:{bad.start() + 1}: {what}")
+    return text, Alphabet.from_text(text)
 
 
 def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alphabet):
@@ -123,75 +108,73 @@ def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alph
     return pats, poss
 
 
-def parse_inputs(string_path: str, patterns_path: str, cfg: RunConfig) -> SanitizationInstance:
-    """Read and encode the sequence and the sensitive patterns or positions."""
-    text, alphabet = _read_sequence(string_path, cfg.mode)
-    patterns, positions = _read_patterns(patterns_path, cfg.mode, cfg.k, cfg.positions, alphabet)
-    return build_instance(text, cfg.k, patterns=patterns, positions=positions, alphabet=alphabet)
+def parse_inputs(args: argparse.Namespace) -> SanitizationInstance:
+    """Read and encode the sequence (`--in`) and the sensitive patterns or positions (`--patterns`)."""
+    text, alphabet = _read_sequence(args.in_path, args.mode)
+    patterns, positions = _read_patterns(args.patterns, args.mode, args.k, args.positions, alphabet)
+    return build_instance(text, args.k, patterns=patterns, positions=positions, alphabet=alphabet)
 
 
-def _load_cost_model(cfg: RunConfig, alphabet: Alphabet) -> CostModel:
-    if cfg.cost_model == "uniform":
-        return uniform_cost_model(tau=cfg.tau, theta=cfg.theta)
+def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
+    if args.cost_model == "uniform":
+        return uniform_cost_model(tau=args.tau, theta=args.theta)
     try:
-        spec = json.loads(open(cfg.cost_model, "r", encoding="utf-8").read())
+        spec = json.loads(open(args.cost_model, "r", encoding="utf-8").read())
     except OSError as exc:
-        raise InputError(f"cannot read cost model {cfg.cost_model}: {exc}") from exc
+        raise InputError(f"cannot read cost model {args.cost_model}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{cfg.cost_model}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
+        raise InputError(f"{args.cost_model}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
     ghost_default = float(spec.get("ghost_default", 1.0))
     sub_default = spec.get("sub_default", 1)
     table: dict[str, float] = {}
     for key, value in spec.get("sub", {}).items():
         if not float(value).is_integer():
-            raise InputError(f"{cfg.cost_model}: non-integer substitution weight for {key!r}")
+            raise InputError(f"{args.cost_model}: non-integer substitution weight for {key!r}")
         enc = "" if key in ("", "epsilon") else alphabet.encode([key])
         table[enc] = int(value)
     if not float(sub_default).is_integer():
-        raise InputError(f"{cfg.cost_model}: non-integer default substitution weight")
+        raise InputError(f"{args.cost_model}: non-integer default substitution weight")
 
     def sub(i: int, choice: str) -> float | None:
         return table.get(choice, int(sub_default))
 
-    return CostModel(ghost=lambda pos, pat: ghost_default, sub=sub, theta=cfg.theta, tau=cfg.tau)
+    return CostModel(ghost=lambda pos, pat: ghost_default, sub=sub, theta=args.theta, tau=args.tau)
 
 
-def run_pipeline(cfg: RunConfig, inst: SanitizationInstance) -> tuple[str, mt.MetricsReport]:
-    """Execute the configured pipeline and assemble its metrics report."""
-    report = mt.MetricsReport(pipeline=cfg.pipeline)
+def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[str, mt.MetricsReport]:
+    """Execute the pipeline the command line names and assemble its metrics report."""
+    report = mt.MetricsReport(pipeline=args.pipeline)
     report.lengths["w"] = inst.n
     timings = report.runtimes_ms
     out = inst.text
     implausible: ImplausibleSet | None = None
 
-    def timed(name: str, fn, *args):
+    def timed(name: str, fn, *fn_args):
         start = time.perf_counter()
-        value = fn(*args)
+        value = fn(*fn_args)
         timings[name] = (time.perf_counter() - start) * 1000.0
         return value
 
-    if cfg.pipeline in ("tfs", "pfs", "tpm", "tm", "tmi", "etfs"):
+    if args.pipeline in ("tfs", "pfs", "tpm", "tm", "tmi", "etfs"):
         x = timed("tfs", tfs_sanitize, inst)
         report.lengths["x"] = len(x)
         out = x
-    if cfg.pipeline in ("pfs", "tpm"):
+    if args.pipeline in ("pfs", "tpm"):
         y = timed("pfs", pfs_sanitize, inst, x)
         report.lengths["y"] = len(y)
         out = y
-    if cfg.pipeline in ("tpm", "tm", "tmi"):
-        if cfg.pipeline == "tmi":
-            if cfg.rho is None:
-                raise InputError("pipeline tmi requires --rho")
-            implausible = timed("implausible", implausible_set, inst.text, inst.k, cfg.rho)
-        cm = _load_cost_model(cfg, inst.alphabet)
+    if args.pipeline in _MCSR_PIPELINES:
+        if args.pipeline == "tmi":
+            implausible = timed("implausible", implausible_set, inst.text, inst.k, args.rho)
+        cm = _load_cost_model(args, inst.alphabet)
         result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible)
         report.lengths["z"] = len(result.text)
         out = result.text
-        if cfg.rho is not None:
+        if args.rho is not None:
             if implausible is None:
-                implausible = implausible_set(inst.text, inst.k, cfg.rho)
+                implausible = implausible_set(inst.text, inst.k, args.rho)
             report.implausible_pct = _implausible_pct(result.site_windows, implausible)
-    if cfg.pipeline == "etfs":
+    if args.pipeline == "etfs":
         match = timed("etfs", etfs_sanitize, inst)
         report.lengths["xed"] = len(match.text)
         report.edit_distance = match.distance
@@ -200,12 +183,12 @@ def run_pipeline(cfg: RunConfig, inst: SanitizationInstance) -> tuple[str, mt.Me
         except mt.UndefinedWhenZero:
             report.notes.append("edre undefined: optimal distance is zero")
         out = match.text
-    if cfg.pipeline == "ba":
+    if args.pipeline == "ba":
         out = timed("ba", mt.ba_sanitize, inst)
         report.lengths["zba"] = len(out)
 
     report.lengths["output"] = len(out)
-    report.distortion, lost, ghost = mt.frequency_changes(inst.text, out, inst.k, cfg.tau, inst.sensitive_patterns)
+    report.distortion, lost, ghost = mt.frequency_changes(inst.text, out, inst.k, args.tau, inst.sensitive_patterns)
     report.lost = sorted(lost)
     report.ghost = sorted(ghost)
     return out, report
@@ -218,89 +201,49 @@ def _implausible_pct(site_windows, implausible: ImplausibleSet) -> float:
     return 100.0 * bad / len(site_windows)
 
 
-def _write_output(path: str | None, text: str, alphabet: Alphabet) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(alphabet.decode(text))
-        fh.write("\n")
-
-
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        pipeline=args.pipeline,
-        k=args.k,
-        tau=args.tau,
-        theta=None if args.theta in (None, "auto") else float(args.theta),
-        rho=args.rho,
-        mode=args.mode,
-        cost_model=args.cost_model,
-        in_path=args.in_path,
-        patterns_path=args.patterns,
-        positions=args.positions,
-        out_path=args.out,
-        report_path=args.report,
-    )
-    if cfg.tau < 1:
-        raise InputError(f"--tau must be >= 1, got {cfg.tau}")
-    if cfg.theta is not None and not float(cfg.theta).is_integer():
-        raise InputError("--theta must be an integer or 'auto'")
-    if cfg.theta is not None and cfg.theta < 0:
-        raise InputError(f"--theta must be non-negative, got {cfg.theta:g}")
-    if cfg.pipeline == "tmi" and cfg.rho is None:
+    # Checks across flags; the parser has checked each flag on its own.
+    if args.pipeline == "tmi" and args.rho is None:
         raise InputError("pipeline tmi requires --rho")
-    inst = parse_inputs(cfg.in_path, cfg.patterns_path, cfg)
-    out, report = run_pipeline(cfg, inst)
-    _write_output(cfg.out_path, out, inst.alphabet)
-    if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_text(inst.alphabet))
-    if cfg.out_path is None:
+    if args.pipeline in _MCSR_PIPELINES and args.rho is not None and args.k <= 2:
+        raise InputError(f"--rho needs --k > 2 to score implausible patterns, got --k {args.k}")
+    inst = parse_inputs(args)
+    out, report = run_pipeline(args, inst)
+    if args.out is None:
         print(inst.alphabet.decode(out))
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(inst.alphabet.decode(out) + "\n")
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(report.to_text(inst.alphabet))
     return EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    import random
-
+    if args.mode == "char" and args.sigma > 26:
+        raise InputError("char mode supports sigma <= 26; use --mode token")
+    rng = random.Random(args.seed)
     if args.mode == "char":
-        import string as _string
-
-        if args.sigma > 26:
-            raise InputError("char mode supports sigma <= 26; use --mode token")
-        letters = _string.ascii_lowercase[: args.sigma]
-        rng = random.Random(args.seed)
+        letters = string.ascii_lowercase[: args.sigma]
         text = "".join(rng.choice(letters) for _ in range(args.n))
     else:
-        rng = random.Random(args.seed)
         text = " ".join(str(rng.randrange(args.sigma)) for _ in range(args.n))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(text + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        pipeline="tfs",
-        k=args.k,
-        mode=args.mode,
-        in_path=args.in_path,
-        patterns_path=args.patterns,
-        positions=args.positions,
-    )
-    inst = parse_inputs(cfg.in_path, cfg.patterns_path, cfg)
+    inst = parse_inputs(args)
     raw = open(args.candidate, "r", encoding="utf-8").read()
-    if cfg.mode == "token":
+    if args.mode == "token":
         tokens = raw.split()
-        candidate = "".join(
-            SEPARATOR if t == SEPARATOR else inst.alphabet.encode([t]) for t in tokens
-        )
+        candidate = "".join(SEPARATOR if t == SEPARATOR else inst.alphabet.encode([t]) for t in tokens)
     else:
         candidate = raw.strip()
-    levels = mt.VERIFY_LEVELS if args.level == "all" else tuple(args.level.split(","))
     ok = True
-    for res in mt.verify_levels(candidate, inst, levels):
+    for res in mt.verify_levels(candidate, inst, args.level):
         status = "pass" if res.ok else f"FAIL ({res.detail})"
         print(f"{res.level}: {status}")
         ok = ok and res.ok
@@ -310,15 +253,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     budget = OracleBudget(max_n=args.max_n, max_sigma=args.max_sigma)
     if args.what in ("tfs", "etfs"):
-        cfg = RunConfig(
-            pipeline="tfs",
-            k=args.k,
-            mode=args.mode,
-            in_path=args.in_path,
-            patterns_path=args.patterns,
-            positions=args.positions,
-        )
-        inst = parse_inputs(cfg.in_path, cfg.patterns_path, cfg)
+        if args.patterns is None:
+            raise InputError(f"oracle --what {args.what} requires --patterns")
+        inst = parse_inputs(args)
         if args.what == "tfs":
             length, witness = oracle_min_tfs(inst, budget)
             print(f"minimal_length={length}")
@@ -328,25 +265,69 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             print(f"minimal_distance={dist}")
             print(f"witness={inst.alphabet.decode(witness)}")
         return EXIT_OK
+    spec = json.loads(open(args.in_path, "r", encoding="utf-8").read())
+    try:
+        if args.what == "mck":
+            classes = tuple(
+                tuple(MckElement(choice=el["choice"], cost=el["cost"], weight=el["weight"]) for el in cls)
+                for cls in spec["classes"]
+            )
+            mck = MckInstance(classes=classes, capacity=spec["capacity"])
+        else:
+            pairs = [RankPair(i, p, s) for i, (p, s) in enumerate(spec["pairs"])]
+            lengths, ell = spec["lengths"], spec["ell"]
+    except KeyError as exc:
+        raise InputError(f"{args.in_path}: missing key {exc}") from None
     if args.what == "mck":
-        spec = json.loads(open(args.in_path, "r", encoding="utf-8").read())
-        classes = tuple(
-            tuple(MckElement(choice=el["choice"], cost=el["cost"], weight=el["weight"]) for el in cls)
-            for cls in spec["classes"]
-        )
-        cost, picks = oracle_mck(MckInstance(classes=classes, capacity=spec["capacity"]), budget)
+        cost, picks = oracle_mck(mck, budget)
         print(f"minimal_cost={cost:g}")
         print("selection=" + ",".join(el.choice if el.choice else "<eps>" for el in picks))
-        return EXIT_OK
-    spec = json.loads(open(args.in_path, "r", encoding="utf-8").read())
-    pairs = [RankPair(i, p, s) for i, (p, s) in enumerate(spec["pairs"])]
-    best = oracle_fo_ssm(pairs, spec["lengths"], spec["ell"], budget)
-    print(f"minimal_length={best}")
+    else:
+        print(f"minimal_length={oracle_fo_ssm(pairs, lengths, ell, budget)}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 3), where argparse would exit 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _checked(convert, ok, expected: str):
+    """An argparse `type=` that converts the text with `convert` and accepts the value only if `ok(value)`."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return check
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_negative = _checked(float, lambda v: v < 0, "a negative number")
+# None = auto: the capacity is the separator count of the stage input.
+_theta = _checked(
+    lambda t: None if t == "auto" else float(t),
+    lambda v: v is None or (v.is_integer() and v >= 0),
+    "a non-negative integer or 'auto'",
+)
+_levels = _checked(
+    lambda t: mt.VERIFY_LEVELS if t == "all" else tuple(t.split(",")),
+    lambda levels: set(levels) <= set(mt.VERIFY_LEVELS),
+    f"'all' or a comma-separated subset of {','.join(mt.VERIFY_LEVELS)}",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqsan",
         description="Conceal sensitive length-k patterns in a sequence while preserving the rest.",
     )
@@ -355,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_san = sub.add_parser("sanitize", help="run a sanitization pipeline")
     p_san.add_argument("--pipeline", choices=PIPELINES, required=True)
-    p_san.add_argument("--k", type=int, required=True)
-    p_san.add_argument("--tau", type=int, default=1)
-    p_san.add_argument("--theta", default="auto", help="distortion capacity; integer or 'auto' (= separator count)")
-    p_san.add_argument("--rho", type=float, default=None, help="implausibility threshold (negative; tmi only)")
+    p_san.add_argument("--k", type=_positive_int, required=True)
+    p_san.add_argument("--tau", type=_positive_int, default=1)
+    p_san.add_argument("--theta", type=_theta, default="auto", help="distortion capacity; integer or 'auto' (= separator count)")
+    p_san.add_argument("--rho", type=_negative, default=None, help="implausibility threshold (negative; tmi only)")
     p_san.add_argument("--mode", choices=("char", "token"), default="char")
     p_san.add_argument("--cost-model", default="uniform", help="'uniform' or a JSON file")
     p_san.add_argument("--in", dest="in_path", required=True)
@@ -369,26 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_san.set_defaults(func=_cmd_sanitize)
 
     p_gen = sub.add_parser("gen", help="generate a seeded uniform random sequence")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--sigma", type=int, required=True)
+    p_gen.add_argument("--n", type=_positive_int, required=True)
+    p_gen.add_argument("--sigma", type=_positive_int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--mode", choices=("char", "token"), default="char")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_ver = sub.add_parser("verify", help="check a candidate output against an instance")
-    p_ver.add_argument("--k", type=int, required=True)
+    p_ver.add_argument("--k", type=_positive_int, required=True)
     p_ver.add_argument("--mode", choices=("char", "token"), default="char")
     p_ver.add_argument("--in", dest="in_path", required=True)
     p_ver.add_argument("--patterns", required=True)
     p_ver.add_argument("--positions", action="store_true")
     p_ver.add_argument("--candidate", required=True)
-    p_ver.add_argument("--level", default="all", help="comma-separated subset of C1,P1,Pi1,P2,P3,P4")
+    p_ver.add_argument("--level", type=_levels, default="all", help="comma-separated subset of C1,P1,Pi1,P2,P3,P4")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_orc = sub.add_parser("oracle", help=argparse.SUPPRESS)
     p_orc.add_argument("--what", choices=("tfs", "etfs", "mck", "fossm"), required=True)
-    p_orc.add_argument("--k", type=int, default=2)
+    p_orc.add_argument("--k", type=_positive_int, default=2)
     p_orc.add_argument("--mode", choices=("char", "token"), default="char")
     p_orc.add_argument("--in", dest="in_path", required=True)
     p_orc.add_argument("--patterns", default=None)
@@ -402,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -67,7 +67,10 @@ def test_infeasible_exit_code(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
-@pytest.mark.parametrize("flag, value", [("--tau", "0"), ("--theta", "-1")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tau", "0"), ("--theta", "-1"), ("--k", "x"), ("--k", "0"), ("--pipeline", "nope"), ("--rho", "0.5")],
+)
 def test_bad_parameter_fails_before_reading_input(tmp_path, capsys, flag, value):
     missing = str(tmp_path / "absent.txt")
     code = main(["sanitize", "--pipeline", "tpm", "--k", "2", flag, value, "--in", missing, "--patterns", missing])
@@ -208,3 +211,72 @@ def test_tmi_requires_rho(example1_files):
     w, p, _tmp = example1_files
     code = main(["sanitize", "--pipeline", "tmi", "--k", "4", "--in", w, "--patterns", p])
     assert code == EXIT_INPUT_ERROR
+
+
+ABSENT = "<absent>"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sanitize", "--pipeline", "tpm", "--k", "2", "--in", ABSENT], "--patterns"),
+        ([], "{sanitize,gen,verify}"),
+        (["verify", "--k", "2", "--in", ABSENT, "--patterns", ABSENT, "--candidate", ABSENT, "--level", "P9"], "--level"),
+        (["gen", "--n", "5", "--sigma", "0", "--out", ABSENT], "--sigma"),
+        (["oracle", "--what", "tfs", "--in", ABSENT], "--patterns"),
+        (["sanitize", "--pipeline", "tmi", "--k", "2", "--rho", "-1", "--in", ABSENT, "--patterns", ABSENT], "--k"),
+    ],
+    ids=["missing-patterns", "no-subcommand", "verify-level-P9", "gen-sigma-0", "oracle-tfs-no-patterns", "tmi-k-2"],
+)
+def test_bad_invocation_is_input_error_before_any_file_is_touched(tmp_path, capsys, argv, named):
+    absent = tmp_path / "absent.txt"
+    code = main([str(absent) if a == ABSENT else a for a in argv])
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("error:") and named in last
+    assert not absent.exists()
+
+
+@pytest.mark.parametrize("sub", [[], ["sanitize"], ["gen"], ["verify"], ["oracle"]])
+def test_help_exits_zero(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([*sub, "--help"])
+    assert exc.value.code == 0
+    assert "usage: seqsan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "what, spec, key",
+    [
+        ("mck", {"classes": [[{"choice": "a", "cost": 1, "weight": 1}]]}, "capacity"),
+        ("mck", {"classes": [[{"choice": "a", "cost": 1}]], "capacity": 1}, "weight"),
+        ("fossm", {"pairs": [[0, 1]], "lengths": [3]}, "ell"),
+    ],
+)
+def test_oracle_spec_missing_key_is_input_error(tmp_path, capsys, what, spec, key):
+    path = write(tmp_path / "spec.json", json.dumps(spec))
+    assert main(["oracle", "--what", what, "--in", path]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"missing key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "text, col, what",
+    [("ab#ab", 3, "separator"), ("abc\tab", 4, "whitespace"), ("a\u2003b#", 2, "whitespace"), ("ab\x1fa", 3, "whitespace")],
+)
+def test_char_mode_names_first_bad_column(tmp_path, capsys, text, col, what):
+    w = write(tmp_path / "w.txt", text + "\n")
+    p = write(tmp_path / "p.txt", "ab\n")
+    assert main(["sanitize", "--pipeline", "tfs", "--k", "2", "--in", w, "--patterns", p]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"w.txt:1:{col}: " in err and what in err
+
+
+def test_verify_level_subset(example1_files, capsys):
+    w, p, tmp = example1_files
+    cand = write(tmp / "cand.txt", "aabaa#aaacbcbbba#baabbacaab\n")
+    code = main(["verify", "--k", "4", "--in", w, "--patterns", p, "--candidate", cand, "--level", "P4,C1"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.split() == ["P4:", "pass", "C1:", "pass"]

@@ -266,6 +266,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             print(f"witness={inst.alphabet.decode(witness)}")
         return EXIT_OK
     spec = json.loads(open(args.in_path, "r", encoding="utf-8").read())
+    if not isinstance(spec, dict):
+        raise InputError(f"{args.in_path}: expected a JSON object at the top level, got {type(spec).__name__}")
     try:
         if args.what == "mck":
             classes = tuple(
@@ -274,7 +276,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             )
             mck = MckInstance(classes=classes, capacity=spec["capacity"])
         else:
-            pairs = [RankPair(i, p, s) for i, (p, s) in enumerate(spec["pairs"])]
+            pairs = []
+            for i, pair in enumerate(spec["pairs"]):
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise InputError(f"{args.in_path}: pairs[{i}] is not a [prefix rank, suffix rank] pair: {pair!r}")
+                pairs.append(RankPair(i, *pair))
             lengths, ell = spec["lengths"], spec["ell"]
     except KeyError as exc:
         raise InputError(f"{args.in_path}: missing key {exc}") from None

@@ -15,6 +15,7 @@ representation.  The separator '#' is reserved in both modes.
 from __future__ import annotations
 
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,8 +26,10 @@ from .errors import BadK, BadPosition, SeparatorInInput
 SEPARATOR = "#"
 
 # Token-mode letters are mapped into the Unicode private-use area, far away
-# from '#' (U+0023) and from anything a char-mode input could contain.
+# from '#' (U+0023) and from anything a char-mode input could contain.  The
+# code points from there to the last one, U+10FFFF, bound the token count.
 _TOKEN_BASE = 0xE000
+_MAX_TOKENS = 0x110000 - _TOKEN_BASE
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +49,8 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not self.tokens:
             raise ValueError("alphabet must contain at least one letter")
+        if self.token_mode and len(self.tokens) > _MAX_TOKENS:
+            raise ValueError(f"token mode supports at most {_MAX_TOKENS:,} distinct tokens, got {len(self.tokens):,}")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("alphabet tokens must be unique")
         if SEPARATOR in self.tokens:
@@ -140,14 +145,17 @@ class SanitizationInstance:
         return self.text[i : i + self.k]
 
 
-def _occurrences(text: str, pattern: str) -> list[int]:
-    """Start positions of every occurrence of `pattern`, overlaps included; none if it is empty."""
+def _occurrences(text: str, pattern: str, limit: int | None = None) -> list[int]:
+    """Start positions of every occurrence of `pattern`, overlaps included; none if it is empty.
+
+    With `limit`, the scan stops at the first `limit` occurrences.
+    """
     found: list[int] = []
-    if not pattern:
-        return found
-    pos = text.find(pattern)
+    pos = text.find(pattern) if pattern else -1
     while pos != -1:
         found.append(pos)
+        if len(found) == limit:
+            break
         pos = text.find(pattern, pos + 1)
     return found
 
@@ -235,7 +243,32 @@ def kmer_counts(text: str, k: int) -> Counter[str]:
 def contains_sensitive(text: str, inst: SanitizationInstance) -> bool:
     """True iff some separator-free window of `text` is a sensitive pattern."""
     sensitive = inst.sensitive_patterns
-    return bool(sensitive) and any(win in sensitive for win in _windows(text, inst.k))
+    return bool(sensitive) and not sensitive.isdisjoint(_windows(text, inst.k))
+
+
+def _spell(blocks: Iterable[str], k: int) -> list[str]:
+    """Spell a sequence of strings as maximal overlap chains of their length-k windows.
+
+    A string shorter than k has no window and is skipped.  A string joins the
+    chain before it when its first k-1 letters equal that chain's last k-1,
+    and then adds its letters after the first k-1; otherwise it starts a chain.
+    """
+    chains: list[str] = []
+    pieces: list[str] = []
+    tail = ""
+    for s in blocks:
+        if len(s) < k:
+            continue
+        if pieces and s[: k - 1] == tail:
+            pieces.append(s[k - 1 :])
+        else:
+            if pieces:
+                chains.append("".join(pieces))
+            pieces = [s]
+        tail = s[len(s) - k + 1 :]  # not s[-(k - 1):], which is all of s at k = 1
+    if pieces:
+        chains.append("".join(pieces))
+    return chains
 
 
 def overlap_chains(inst: SanitizationInstance) -> list[str]:
@@ -244,21 +277,10 @@ def overlap_chains(inst: SanitizationInstance) -> list[str]:
     Two successive non-sensitive occurrences belong to the same chain when the
     length-(k-1) suffix of the earlier window equals the length-(k-1) prefix of
     the later one.  Each chain is spelled as its first window followed by the
-    last letter of every subsequent window.
+    last letter of every subsequent window.  A run of adjacent non-sensitive
+    starts a..b-1 spells text[a : b+k-1], so the chains are the spelling of
+    those runs.
     """
     text, k = inst.text, inst.k
-    chains: list[str] = []
-    positions = inst.nonsensitive_positions
-    if not positions:
-        return chains
-    prev = positions[0]
-    pieces = [text[prev : prev + k]]
-    for cur in positions[1:]:
-        if text[prev + 1 : prev + k] == text[cur : cur + k - 1]:
-            pieces.append(text[cur + k - 1])
-        else:
-            chains.append("".join(pieces))
-            pieces = [text[cur : cur + k]]
-        prev = cur
-    chains.append("".join(pieces))
-    return chains
+    runs = re.finditer(rb"\x00+", inst.mask[: len(text) - k + 1])
+    return _spell((text[m.start() : m.end() + k - 1] for m in runs), k)

@@ -14,6 +14,15 @@ The verifiers are the shared ground truth for tests and the CLI.  Levels:
        output neither starts nor ends with '#', and every block between
        separators has at least k letters
   P4   output length is at most ceil((n-k+1)/2)*k + floor((n-k+1)/2)
+
+C1, P1, Pi1 and P2 are decided on the chain spelling of the two strings: the
+source's overlap chains, and the candidate's blocks spelled into chains the
+same way.  Spelling is a bijection between window sequences and chain lists,
+so P1 is equality of the two lists; chains both sides spell cancel out of P2
+and C1; and a block that equals a chain is an occurrence of it for Pi1.  A
+level then costs about the part of the candidate that differs from the
+source's chains.  A failing level words its counterexample from the direct
+definition above.
 """
 
 from __future__ import annotations
@@ -21,7 +30,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import SEPARATOR, SanitizationInstance, _occurrences, _windows, kmer_counts, overlap_chains
+from .core import (
+    SEPARATOR,
+    SanitizationInstance,
+    _occurrences,
+    _spell,
+    _windows,
+    contains_sensitive,
+    kmer_counts,
+    overlap_chains,
+)
 from .errors import UndefinedWhenZero
 
 VERIFY_LEVELS = ("C1", "P1", "Pi1", "P2", "P3", "P4")
@@ -76,47 +94,63 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
+def _leftover_chains(candidate: str, inst: SanitizationInstance) -> tuple[Counter[str], Counter[str]]:
+    """The source's chains and the candidate's chains left after cancelling those both spell, as multisets."""
+    want = Counter(overlap_chains(inst))
+    got = Counter(_spell(candidate.split(SEPARATOR), inst.k))
+    return want - got, got - want
+
+
 def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResult:
     """Check one property level, returning a counterexample on failure."""
     text, k = inst.text, inst.k
     n = len(text)
 
     if level == "C1":
-        for win in _windows(candidate, k):
-            if win in inst.sensitive_patterns:
-                # Windows come left to right, so the first occurrence of `win` is this one.
-                pos = candidate.find(win)
-                offset = pos - candidate.rfind(SEPARATOR, 0, pos) - 1
-                return VerifyResult(level, False, f"sensitive window {win!r} at block offset {offset}")
-        return VerifyResult(level, True)
+        # The sensitive set is closed, so no source chain holds a sensitive window.
+        _lost, extra = _leftover_chains(candidate, inst)
+        if not contains_sensitive(SEPARATOR.join(extra), inst):
+            return VerifyResult(level, True)
+        # Windows come left to right, so the first occurrence of `win` is this one.
+        win = next(win for win in _windows(candidate, k) if win in inst.sensitive_patterns)
+        pos = candidate.find(win)
+        offset = pos - candidate.rfind(SEPARATOR, 0, pos) - 1
+        return VerifyResult(level, False, f"sensitive window {win!r} at block offset {offset}")
 
     if level == "P1":
+        # Spelling is a bijection between window sequences and chain lists.
+        if overlap_chains(inst) == _spell(candidate.split(SEPARATOR), k):
+            return VerifyResult(level, True)
         want = [text[i : i + k] for i in inst.nonsensitive_positions]
         got = list(_windows(candidate, k))
-        if want != got:
-            bad = next(
-                (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
-                min(len(want), len(got)),
-            )
-            return VerifyResult(level, False, f"window order diverges at chain index {bad}")
-        return VerifyResult(level, True)
+        bad = next(
+            (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+            min(len(want), len(got)),
+        )
+        return VerifyResult(level, False, f"window order diverges at chain index {bad}")
 
     if level == "Pi1":
         need = Counter(overlap_chains(inst))
+        blocks = Counter(candidate.split(SEPARATOR))
         for chain, mult in need.items():
-            have = len(_occurrences(candidate, chain))
-            if have < mult:
+            if blocks[chain] < mult and len(_occurrences(candidate, chain, mult)) < mult:
+                have = len(_occurrences(candidate, chain))
                 return VerifyResult(level, False, f"chain {chain!r} needed {mult}x, found {have}x")
         return VerifyResult(level, True)
 
     if level == "P2":
+        lost, extra = _leftover_chains(candidate, inst)
+        # Equal multisets have equal sizes, and a size costs one step per chain, not one per window.
+        size = [sum((len(chain) - k + 1) * mult for chain, mult in side.items()) for side in (lost, extra)]
+        if size[0] == size[1]:
+            lost_windows, extra_windows = (Counter(_windows(SEPARATOR.join(side.elements()), k)) for side in (lost, extra))
+            if lost_windows == extra_windows:
+                return VerifyResult(level, True)
         want = Counter(text[i : i + k] for i in inst.nonsensitive_positions)
         got = kmer_counts(candidate, k)
-        if want != got:
-            diff = (want - got) + (got - want)
-            pat = next(iter(diff))
-            return VerifyResult(level, False, f"frequency of {pat!r}: expected {want[pat]}, got {got[pat]}")
-        return VerifyResult(level, True)
+        diff = (want - got) + (got - want)
+        pat = next(iter(diff))
+        return VerifyResult(level, False, f"frequency of {pat!r}: expected {want[pat]}, got {got[pat]}")
 
     if level == "P3":
         seps = candidate.count(SEPARATOR)

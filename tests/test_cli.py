@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seqsan import core
 from seqsan.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, main
 
 
@@ -75,7 +76,9 @@ def test_bad_parameter_fails_before_reading_input(tmp_path, capsys, flag, value)
     missing = str(tmp_path / "absent.txt")
     code = main(["sanitize", "--pipeline", "tpm", "--k", "2", flag, value, "--in", missing, "--patterns", missing])
     assert code == EXIT_INPUT_ERROR
-    assert flag in capsys.readouterr().err
+    # The usage line names every flag, so only the error line shows which one was refused.
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error:") and flag in last
 
 
 def test_separator_in_input_is_input_error(tmp_path):
@@ -103,6 +106,17 @@ def test_token_mode_round_trip(tmp_path):
     assert code == EXIT_OK
     tokens = out.read_text().split()
     assert tokens == ["3", "1", "4", "1", "#", "5", "9", "2", "6"]
+
+
+def test_token_alphabet_above_limit_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(core, "_MAX_TOKENS", 3)
+    w = write(tmp_path / "w.txt", "3 1 4 1 5\n")
+    p = write(tmp_path / "p.txt", "1 5\n")
+    out = tmp_path / "x.txt"
+    code = main(["sanitize", "--pipeline", "tfs", "--k", "2", "--mode", "token", "--in", w, "--patterns", p, "--out", str(out)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.strip() == "error: token mode supports at most 3 distinct tokens, got 4"
+    assert not out.exists()
 
 
 def test_positions_flag(tmp_path):
@@ -260,6 +274,23 @@ def test_oracle_spec_missing_key_is_input_error(tmp_path, capsys, what, spec, ke
     assert main(["oracle", "--what", what, "--in", path]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert "Traceback" not in err and f"missing key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "what, spec, named",
+    [
+        ("mck", [1, 2], "expected a JSON object at the top level, got list"),
+        ("fossm", "pairs", "expected a JSON object at the top level, got str"),
+        ("fossm", {"pairs": [[0, 1], [0, 1, 2]], "lengths": [3, 3], "ell": 1}, "pairs[1] is not a"),
+        ("fossm", {"pairs": [5], "lengths": [3], "ell": 1}, "pairs[0] is not a"),
+    ],
+)
+def test_oracle_spec_of_wrong_shape_is_input_error(tmp_path, capsys, what, spec, named):
+    path = write(tmp_path / "spec.json", json.dumps(spec))
+    assert main(["oracle", "--what", what, "--in", path]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    last = err.strip().splitlines()[-1]
+    assert "Traceback" not in err and last.startswith(f"error: {path}: ") and named in last
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,14 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             ab.encode("abc")
 
+    def test_token_count_limit(self):
+        # The count is checked before the tokens are, so repeats of one token reach the limit cheaply.
+        limit = 0x110000 - 0xE000
+        with pytest.raises(ValueError, match=f"at most {limit:,} distinct tokens, got {limit + 1:,}"):
+            Alphabet(tokens=("t",) * (limit + 1), token_mode=True)
+        with pytest.raises(ValueError, match="unique"):
+            Alphabet(tokens=("t",) * limit, token_mode=True)
+
 
 class TestBuildInstance:
     def test_example1_closure(self, example1):

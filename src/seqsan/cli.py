@@ -147,6 +147,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     report.lengths["w"] = inst.n
     timings = report.runtimes_ms
     out = inst.text
+    out_counts = None  # kmer_counts(out, k), when a stage has it already
     implausible: ImplausibleSet | None = None
 
     def timed(name: str, fn, *fn_args):
@@ -169,7 +170,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         cm = _load_cost_model(args, inst.alphabet)
         result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible)
         report.lengths["z"] = len(result.text)
-        out = result.text
+        out, out_counts = result.text, result.counts
         if args.rho is not None:
             if implausible is None:
                 implausible = implausible_set(inst.text, inst.k, args.rho)
@@ -179,7 +180,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         report.lengths["xed"] = len(match.text)
         report.edit_distance = match.distance
         try:
-            report.edre = mt.edre(inst.text, out, match.text)
+            report.edre = mt.edre(inst.text, out, match.text, optimal_distance=match.distance)
         except mt.UndefinedWhenZero:
             report.notes.append("edre undefined: optimal distance is zero")
         out = match.text
@@ -188,7 +189,9 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         report.lengths["zba"] = len(out)
 
     report.lengths["output"] = len(out)
-    report.distortion, lost, ghost = mt.frequency_changes(inst.text, out, inst.k, args.tau, inst.sensitive_patterns)
+    report.distortion, lost, ghost = mt.frequency_changes(
+        inst.text, out, inst.k, args.tau, inst.sensitive_patterns, output_counts=out_counts
+    )
     report.lost = sorted(lost)
     report.ghost = sorted(ghost)
     return out, report
@@ -250,6 +253,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     budget = OracleBudget(max_n=args.max_n, max_sigma=args.max_sigma)
     if args.what in ("tfs", "etfs"):
@@ -270,18 +281,34 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise InputError(f"{args.in_path}: expected a JSON object at the top level, got {type(spec).__name__}")
     try:
         if args.what == "mck":
+            if not isinstance(spec["classes"], list):
+                raise InputError(f"{args.in_path}: classes is not a list of classes: {spec['classes']!r}")
+            for i, cls in enumerate(spec["classes"]):
+                if not (isinstance(cls, list) and all(isinstance(el, dict) for el in cls)):
+                    raise InputError(f"{args.in_path}: classes[{i}] is not a list of {{choice, cost, weight}} objects: {cls!r}")
+                for j, el in enumerate(cls):
+                    if not (isinstance(el["choice"], str) and _is_number(el["cost"]) and _is_number(el["weight"])):
+                        raise InputError(f"{args.in_path}: classes[{i}][{j}] needs a string choice and a numeric cost and weight: {el!r}")
+            if not _is_number(spec["capacity"]):
+                raise InputError(f"{args.in_path}: capacity is not a number: {spec['capacity']!r}")
             classes = tuple(
                 tuple(MckElement(choice=el["choice"], cost=el["cost"], weight=el["weight"]) for el in cls)
                 for cls in spec["classes"]
             )
             mck = MckInstance(classes=classes, capacity=spec["capacity"])
         else:
+            if not isinstance(spec["pairs"], list):
+                raise InputError(f"{args.in_path}: pairs is not a list of pairs: {spec['pairs']!r}")
             pairs = []
             for i, pair in enumerate(spec["pairs"]):
-                if not (isinstance(pair, list) and len(pair) == 2):
+                if not (isinstance(pair, list) and len(pair) == 2 and all(_is_int(r) for r in pair)):
                     raise InputError(f"{args.in_path}: pairs[{i}] is not a [prefix rank, suffix rank] pair: {pair!r}")
                 pairs.append(RankPair(i, *pair))
             lengths, ell = spec["lengths"], spec["ell"]
+            if not (isinstance(lengths, list) and all(_is_int(n) for n in lengths)):
+                raise InputError(f"{args.in_path}: lengths is not a list of integers: {lengths!r}")
+            if not _is_int(ell):
+                raise InputError(f"{args.in_path}: ell is not an integer: {ell!r}")
     except KeyError as exc:
         raise InputError(f"{args.in_path}: missing key {exc}") from None
     if args.what == "mck":

@@ -8,13 +8,18 @@ multiple-choice knapsack: one choice per separator, minimum total cost,
 total weight at most theta.  Choices that would recreate a sensitive pattern
 are discarded outright, as are choices that would complete a statistically
 implausible window when an implausible set is supplied.
+
+The input's k-mers are counted once.  A rewrite only adds the windows that
+cover a junction, so `McsrResult.counts`, the exact k-mer counts of the
+output, is the input's counts plus those windows; reports read it instead of
+counting the output again.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable
 
 from .core import SEPARATOR, SanitizationInstance, _occurrences, _windows, kmer_counts
@@ -89,6 +94,8 @@ class McsrResult:
     ghost_cost: float
     total_weight: float
     site_windows: tuple[tuple[int, str], ...]  # (separator index, realized window)
+    # kmer_counts(text, k); a function of `text`, so equality and hashing ignore it.
+    counts: Counter[str] = field(repr=False, compare=False)
 
 
 def separator_positions(text: str) -> list[int]:
@@ -120,13 +127,17 @@ def _context(text: str, positions: list[int], sep_index: int, k: int) -> tuple[s
     return left, right
 
 
-def candidate_ghosts(text: str, k: int, tau: int, letters: str) -> GhostCandidateSet:
+def candidate_ghosts(
+    text: str, k: int, tau: int, letters: str, *, counts: Counter[str] | None = None
+) -> GhostCandidateSet:
     """Worst-case reachable frequencies: per separator, the best single choice.
 
     max_freq_out(U) adds to U's current frequency, for every separator, the
     largest number of occurrences of U any one choice there would create.
+    `counts`, if given, must be `kmer_counts(text, k)`.  Only a pattern some
+    choice gains can reach tau from below, so only those are walked.
     """
-    base = kmer_counts(text, k)
+    base = kmer_counts(text, k) if counts is None else counts
     gains: dict[str, int] = defaultdict(int)
     positions = separator_positions(text)
     choices = list(letters) + [EPSILON]
@@ -141,9 +152,9 @@ def candidate_ghosts(text: str, k: int, tau: int, letters: str) -> GhostCandidat
         for win, gain in best.items():
             gains[win] += gain
     entries = {}
-    for pat in base.keys() | gains.keys():
+    for pat, gain in gains.items():
         freq_in = base.get(pat, 0)
-        top = freq_in + gains.get(pat, 0)
+        top = freq_in + gain
         if freq_in < tau <= top:
             entries[pat] = (freq_in, top)
     return GhostCandidateSet(entries=entries, tau=tau)
@@ -319,18 +330,21 @@ def mcsr_sanitize(
     Costing uses the per-separator contexts of the input; after committing,
     the realized windows around every junction are re-checked and, should an
     interaction between nearby sites have produced a sensitive or implausible
-    window, the offending choice is banned and the knapsack re-solved.
+    window, the offending choice is banned and the knapsack re-solved.  The
+    output's counts are the input's plus the windows at every start that
+    covers a junction, each start once.
     """
     k = inst.k
     if cm is None:
         cm = uniform_cost_model(tau=1)
+    counts = kmer_counts(text, k)
     n_seps = text.count(SEPARATOR)
     if n_seps == 0:
-        return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=())
+        return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=(), counts=counts)
     if cm.theta is None:
         cm = dc_replace(cm, theta=float(n_seps))
 
-    cands = candidate_ghosts(text, k, cm.tau, inst.alphabet.chars)
+    cands = candidate_ghosts(text, k, cm.tau, inst.alphabet.chars, counts=counts)
     banned: set[tuple[int, str]] = set()
     parts = text.split(SEPARATOR)
     max_rounds = n_seps * (inst.alphabet.size + 1) + 1
@@ -354,15 +368,13 @@ def mcsr_sanitize(
         z = "".join(assembled)
 
         site_windows: list[tuple[int, str]] = []
+        site_starts: set[int] = set()  # a set: windows of sites closer than k overlap
         violation: tuple[int, str] | None = None
         for idx, (choice, pos) in enumerate(zip(choices, junctions), start=1):
-            if choice == EPSILON:
-                lo, hi = pos - k + 1, pos - 1
-            else:
-                lo, hi = pos - k + 1, pos
-            lo = max(0, lo)
-            hi = min(len(z) - k, hi)
-            for s in range(lo, hi + 1):
+            # The windows holding the inserted letter, or both letters beside a deletion.
+            starts = range(max(0, pos - k + 1), min(len(z) - k, pos if choice else pos - 1) + 1)
+            site_starts.update(starts)
+            for s in starts:
                 win = z[s : s + k]
                 site_windows.append((idx, win))
                 if win in inst.sensitive_patterns or (implausible is not None and win in implausible):
@@ -370,12 +382,14 @@ def mcsr_sanitize(
             if violation:
                 break
         if violation is None:
+            counts.update(z[s : s + k] for s in site_starts)
             return McsrResult(
                 text=z,
                 choices=tuple(choices),
                 ghost_cost=sum(el.cost for el in selection),
                 total_weight=sum(el.weight for el in selection),
                 site_windows=tuple(site_windows),
+                counts=counts,
             )
         banned.add(violation)
 

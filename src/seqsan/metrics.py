@@ -20,14 +20,15 @@ source's overlap chains, and the candidate's blocks spelled into chains the
 same way.  Spelling is a bijection between window sequences and chain lists,
 so P1 is equality of the two lists; chains both sides spell cancel out of P2
 and C1; and a block that equals a chain is an occurrence of it for Pi1.  A
-level then costs about the part of the candidate that differs from the
-source's chains.  A failing level words its counterexample from the direct
+chain that too few blocks equal is looked for only where its first window
+starts in the candidate.  A level then costs about the part of the candidate
+that differs from the source's chains.  A failing level words its counterexample from the direct
 definition above.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .core import (
@@ -101,6 +102,16 @@ def _leftover_chains(candidate: str, inst: SanitizationInstance) -> tuple[Counte
     return want - got, got - want
 
 
+def _window_starts(text: str, k: int, wanted: set[str]) -> dict[str, list[int]]:
+    """Start positions in `text` of each length-k window that is in `wanted`, ascending."""
+    starts: dict[str, list[int]] = defaultdict(list)
+    for i in range(len(text) - k + 1):
+        win = text[i : i + k]
+        if win in wanted:
+            starts[win].append(i)
+    return starts
+
+
 def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResult:
     """Check one property level, returning a counterexample on failure."""
     text, k = inst.text, inst.k
@@ -132,8 +143,18 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
     if level == "Pi1":
         need = Counter(overlap_chains(inst))
         blocks = Counter(candidate.split(SEPARATOR))
-        for chain, mult in need.items():
-            if blocks[chain] < mult and len(_occurrences(candidate, chain, mult)) < mult:
+        short = [(chain, mult) for chain, mult in need.items() if blocks[chain] < mult]
+        if short:
+            # A chain can only start where its first window does.
+            starts = _window_starts(candidate, k, {chain[:k] for chain, _mult in short})
+        for chain, mult in short:
+            found = 0
+            for s in starts.get(chain[:k], ()):
+                if candidate.startswith(chain, s):
+                    found += 1
+                    if found == mult:
+                        break
+            if found < mult:
                 have = len(_occurrences(candidate, chain))
                 return VerifyResult(level, False, f"chain {chain!r} needed {mult}x, found {have}x")
         return VerifyResult(level, True)
@@ -236,16 +257,23 @@ def frequency_changes(
     k: int,
     tau: int,
     sensitive: frozenset[str] | set[str] = frozenset(),
+    *,
+    output_counts: Counter[str] | None = None,
 ) -> tuple[float, set[str], set[str]]:
-    """`distortion` and `lost_ghost` from one pair of k-mer counts and one walk of their keys."""
+    """`distortion` and `lost_ghost` from one pair of k-mer counts and one walk of the patterns whose counts differ.
+
+    A pattern with the same count in both strings adds no distortion and
+    crosses no threshold.  `output_counts`, if given, must be
+    `kmer_counts(output, k)`.
+    """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     want = kmer_counts(source, k)
-    got = kmer_counts(output, k)
+    got = kmer_counts(output, k) if output_counts is None else output_counts
     total = 0.0
     lost = set()
     ghost = set()
-    for pat in want.keys() | got.keys():
+    for pat in {pat for pat, _count in want.items() ^ got.items()}:
         if pat in sensitive:
             continue
         before, after = want[pat], got[pat]
@@ -314,9 +342,13 @@ def edit_distance(a: str, b: str) -> int:
         t = 2 * t + 1
 
 
-def edre(source: str, heuristic_output: str, optimal_output: str) -> float:
-    """Relative excess of the heuristic's edit distance over the optimum."""
-    d_opt = edit_distance(source, optimal_output)
+def edre(source: str, heuristic_output: str, optimal_output: str, *, optimal_distance: int | None = None) -> float:
+    """Relative excess of the heuristic's edit distance over the optimum.
+
+    `optimal_distance`, if given, must be `edit_distance(source, optimal_output)`,
+    as the closest-output construction reports it.
+    """
+    d_opt = edit_distance(source, optimal_output) if optimal_distance is None else optimal_distance
     d_heu = edit_distance(source, heuristic_output)
     if d_opt == 0:
         if d_heu == 0:

@@ -283,6 +283,13 @@ def test_oracle_spec_missing_key_is_input_error(tmp_path, capsys, what, spec, ke
         ("fossm", "pairs", "expected a JSON object at the top level, got str"),
         ("fossm", {"pairs": [[0, 1], [0, 1, 2]], "lengths": [3, 3], "ell": 1}, "pairs[1] is not a"),
         ("fossm", {"pairs": [5], "lengths": [3], "ell": 1}, "pairs[0] is not a"),
+        ("mck", {"classes": 5, "capacity": 1}, "classes is not a list"),
+        ("mck", {"classes": [[1]], "capacity": 1}, "classes[0] is not a list"),
+        ("mck", {"classes": [[{"choice": "a", "cost": "x", "weight": 1}]], "capacity": 1}, "classes[0][0] needs"),
+        ("mck", {"classes": [[{"choice": "a", "cost": 1, "weight": 1}]], "capacity": "z"}, "capacity is not a number"),
+        ("fossm", {"pairs": 5, "lengths": [3], "ell": 1}, "pairs is not a list"),
+        ("fossm", {"pairs": [[0, 1]], "lengths": 3, "ell": 1}, "lengths is not a list"),
+        ("fossm", {"pairs": [[0, 1]], "lengths": [3], "ell": "x"}, "ell is not an integer"),
     ],
 )
 def test_oracle_spec_of_wrong_shape_is_input_error(tmp_path, capsys, what, spec, named):

@@ -4,10 +4,12 @@ import pytest
 
 from seqsan import (
     NoNonSensitive,
+    UndefinedWhenZero,
     approx_regex_match,
     build_instance,
     build_regex,
     edit_distance,
+    edre,
     etfs_sanitize,
     fallback_regex,
     tfs_sanitize,
@@ -170,6 +172,21 @@ class TestEtfsSanitize:
             for lv in ("C1", "P1", "P2"):
                 chk = verify(res.text, inst, lv)
                 assert chk.ok, f"{lv} failed on {inst.text!r} k={inst.k}: {chk.detail}"
+
+    def test_edre_with_the_reported_distance_agrees(self):
+        # The instances of test_random_instances_properties.
+        rng = random.Random(19)
+        for _ in range(60):
+            inst = random_instance(rng, n_min=6, n_max=30)
+            res = etfs_sanitize(inst)
+            x = tfs_sanitize(inst)
+            try:
+                want = edre(inst.text, x, res.text)
+            except UndefinedWhenZero:
+                with pytest.raises(UndefinedWhenZero):
+                    edre(inst.text, x, res.text, optimal_distance=res.distance)
+                continue
+            assert edre(inst.text, x, res.text, optimal_distance=res.distance) == want
 
     def test_checkpointed_traceback_agrees_with_full(self):
         import seqsan.etfs as etfs_mod

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -83,6 +84,77 @@ class TestCandidateGhosts:
                 reach = base[pat] + best.get(pat, 0)
                 expect_in = base[pat] < tau <= reach
                 assert (pat in cands) == expect_in, (y, pat, tau)
+
+
+def _ghost_definition(text, k, tau, letters):
+    """Over every pattern of the input or of some context: count in, and count in plus each separator's best gain."""
+    base = Counter(text[i : i + k] for i in range(len(text) - k + 1) if "#" not in text[i : i + k])
+    gains = Counter()
+    for sep in range(1, text.count("#") + 1):
+        best = Counter()
+        for choice in list(letters) + [""]:
+            ctx = context_string(text, sep, choice, k)
+            for win, cnt in Counter(ctx[i : i + k] for i in range(len(ctx) - k + 1)).items():
+                best[win] = max(best[win], cnt)
+        gains.update(best)
+    reach = {pat: (base[pat], base[pat] + gains[pat]) for pat in base.keys() | gains.keys()}
+    return {pat: (low, top) for pat, (low, top) in reach.items() if low < tau <= top}
+
+
+def _random_separated(rng, letters, n_max):
+    """Letters with separators anywhere: leading, trailing, adjacent, around blocks shorter than k."""
+    return "".join(rng.choice(letters + "##") for _ in range(rng.randint(0, n_max)))
+
+
+class TestCandidateGhostsDefinition:
+    def test_entries_match_all_keys_definition(self):
+        rng = random.Random(41)
+        found = 0
+        for _ in range(400):
+            letters = "abcd"[: rng.randint(1, 4)]
+            text = _random_separated(rng, letters, 14)
+            k = rng.randint(1, 4)
+            tau = rng.randint(1, 4)
+            want = _ghost_definition(text, k, tau, letters)
+            assert candidate_ghosts(text, k, tau, letters).entries == want, (text, k, tau)
+            got = candidate_ghosts(text, k, tau, letters, counts=kmer_counts(text, k))
+            assert got.entries == want, (text, k, tau)
+            found += bool(want)
+        assert found > 100
+
+
+class TestResultCounts:
+    def test_counts_are_the_output_counts(self):
+        rng = random.Random(42)
+        seen = Counter()
+        for _ in range(1500):
+            inst = random_instance(rng, n_min=3, n_max=24, ks=(1, 2, 3, 4))
+            k = inst.k
+            kind = rng.choice(("tfs", "pfs", "random", "letters"))
+            if kind == "tfs":
+                y = tfs_sanitize(inst)
+            elif kind == "pfs":
+                y = pfs_sanitize(inst)
+            elif kind == "random":
+                y = _random_separated(rng, inst.alphabet.chars, 24)
+            else:
+                y = inst.text
+            implausible = implausible_set(inst.text, k, -0.5) if k > 2 and rng.random() < 0.3 else None
+            try:
+                res = mcsr_sanitize(y, inst, uniform_cost_model(tau=rng.randint(1, 3)), implausible)
+            except Infeasible:
+                continue
+            assert res.counts == kmer_counts(res.text, k), (y, k, res.text)
+            blocks = y.split("#")
+            seen["no separator"] += len(blocks) == 1
+            seen["leading"] += y.startswith("#")
+            seen["trailing"] += y.endswith("#")
+            seen["adjacent"] += "##" in y
+            seen["short block"] += len(blocks) > 1 and any(0 < len(b) < k for b in blocks)
+            seen["k = 1"] += k == 1 and len(blocks) > 1
+            seen["deletion"] += "" in res.choices
+        assert min(seen.values()) > 20, seen
+        assert "counts" not in repr(res)
 
 
 class TestBuildMck:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from seqsan import (
+    Infeasible,
     UndefinedWhenZero,
     ba_sanitize,
     build_instance,
@@ -17,7 +18,7 @@ from seqsan import (
     verify,
     verify_levels,
 )
-from seqsan.metrics import MetricsReport
+from seqsan.metrics import MetricsReport, frequency_changes
 from seqsan.oracles import _levenshtein
 from conftest import random_instance
 
@@ -108,6 +109,56 @@ def test_metrics_agree_with_naive_position_scan(example1):
         }
         assert lost == manual_lost
         assert ghost == manual_ghost
+
+
+def _union_of_keys_changes(source, output, k, tau, sensitive):
+    """Distortion, lost and ghost over every pattern of either string, as defined."""
+    want = _naive_counts(source, k)
+    got = _naive_counts(output, k)
+    total, lost, ghost = 0, set(), set()
+    for p in set(want) | set(got):
+        if p in sensitive:
+            continue
+        before, after = want.get(p, 0), got.get(p, 0)
+        total += (before - after) ** 2
+        if before >= tau > after:
+            lost.add(p)
+        elif before < tau <= after:
+            ghost.add(p)
+    return total, lost, ghost
+
+
+def test_frequency_changes_with_and_without_output_counts():
+    from seqsan import mcsr_sanitize, uniform_cost_model
+
+    rng = random.Random(32)
+    changed = 0
+    for _ in range(300):
+        inst = random_instance(rng, n_min=4, n_max=40, ks=(1, 2, 3, 4))
+        k = inst.k
+        letters = inst.alphabet.chars
+        mutated = list(inst.text)
+        for _ in range(rng.randint(1, 3)):
+            mutated[rng.randrange(len(mutated))] = rng.choice(letters + "#")
+        outputs = [
+            inst.text,
+            tfs_sanitize(inst),
+            pfs_sanitize(inst),
+            "".join(mutated),
+            "".join(rng.choice(letters + "#") for _ in range(rng.randint(0, 20))),
+        ]
+        try:
+            outputs.append(mcsr_sanitize(outputs[2], inst, uniform_cost_model(tau=2)).text)
+        except Infeasible:
+            pass
+        for out in outputs:
+            tau = rng.randint(1, 3)
+            want = _union_of_keys_changes(inst.text, out, k, tau, inst.sensitive_patterns)
+            assert frequency_changes(inst.text, out, k, tau, inst.sensitive_patterns) == want
+            got = frequency_changes(inst.text, out, k, tau, inst.sensitive_patterns, output_counts=kmer_counts(out, k))
+            assert got == want
+            changed += want[0] > 0
+    assert changed > 500  # the sweep must reach outputs whose counts differ
 
 
 class TestLostGhost:

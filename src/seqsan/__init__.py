@@ -41,6 +41,7 @@ from .mcsr import (
     context_string,
     implausible_set,
     mcsr_sanitize,
+    separator_sites,
     solve_mck,
     uniform_cost_model,
     z_score,
@@ -82,6 +83,7 @@ __all__ = [
     "fo_ssm",
     "RankPair",
     "mcsr_sanitize",
+    "separator_sites",
     "candidate_ghosts",
     "context_string",
     "build_mck",

@@ -1,4 +1,4 @@
-"""Command-line front end: pipelines, dataset I/O, verification, and oracles.
+"""Command-line front end: pipelines, dataset I/O and verification.
 
 Pipelines compose the library stages:
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import random
 import re
 import string
@@ -32,9 +33,8 @@ from . import metrics as mt
 from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance
 from .errors import Infeasible, SanitizationError
 from .etfs import etfs_sanitize
-from .mcsr import CostModel, ImplausibleSet, MckElement, MckInstance, implausible_set, mcsr_sanitize, uniform_cost_model
-from .oracles import OracleBudget, oracle_fo_ssm, oracle_mck, oracle_min_etfs, oracle_min_tfs
-from .pfs import RankPair, pfs_sanitize
+from .mcsr import CostModel, ImplausibleSet, implausible_set, mcsr_sanitize, uniform_cost_model
+from .pfs import pfs_sanitize
 from .tfs import tfs_sanitize
 
 logger = logging.getLogger(__name__)
@@ -115,30 +115,45 @@ def parse_inputs(args: argparse.Namespace) -> SanitizationInstance:
     return build_instance(text, args.k, patterns=patterns, positions=positions, alphabet=alphabet)
 
 
+def _weight(name: str, value) -> int:
+    """A substitution weight from a cost model file; `solve_mck` needs non-negative integers."""
+    if type(value) in (int, float) and float(value).is_integer() and value >= 0:
+        return int(value)
+    raise ValueError(f"{name} is not a non-negative integer: {value!r}")
+
+
 def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
+    """'uniform', or the JSON file `--cost-model` names; a malformed file is an input error naming it and the field."""
     if args.cost_model == "uniform":
         return uniform_cost_model(tau=args.tau, theta=args.theta)
+    path = args.cost_model
     try:
-        spec = json.loads(open(args.cost_model, "r", encoding="utf-8").read())
+        spec = json.loads(open(path, "r", encoding="utf-8").read())
     except OSError as exc:
-        raise InputError(f"cannot read cost model {args.cost_model}: {exc}") from exc
+        raise InputError(f"cannot read cost model {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{args.cost_model}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
-    ghost_default = float(spec.get("ghost_default", 1.0))
-    sub_default = spec.get("sub_default", 1)
-    table: dict[str, float] = {}
-    for key, value in spec.get("sub", {}).items():
-        if not float(value).is_integer():
-            raise InputError(f"{args.cost_model}: non-integer substitution weight for {key!r}")
-        enc = "" if key in ("", "epsilon") else alphabet.encode([key])
-        table[enc] = int(value)
-    if not float(sub_default).is_integer():
-        raise InputError(f"{args.cost_model}: non-integer default substitution weight")
-
-    def sub(i: int, choice: str) -> float | None:
-        return table.get(choice, int(sub_default))
-
-    return CostModel(ghost=lambda pos, pat: ghost_default, sub=sub, theta=args.theta, tau=args.tau)
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
+    if not isinstance(spec, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level, got {type(spec).__name__}")
+    ghost_default = spec.get("ghost_default", 1.0)
+    weights = spec.get("sub", {})
+    # JSON true and false are bools, not numbers; NaN and Infinity would make every cost compare false.
+    if type(ghost_default) not in (int, float) or not math.isfinite(ghost_default):
+        raise InputError(f"{path}: ghost_default is not a finite number: {ghost_default!r}")
+    if not isinstance(weights, dict):
+        raise InputError(f"{path}: sub is not an object of substitution weights: {weights!r}")
+    try:
+        sub_default = _weight("sub_default", spec.get("sub_default", 1))
+        table = {
+            "" if key in ("", "epsilon") else alphabet.encode([key]): _weight(f"sub[{key!r}]", value)
+            for key, value in weights.items()
+        }
+    except ValueError as exc:  # a bad weight, or a key that is not a letter of the input
+        raise InputError(f"{path}: {exc}") from None
+    ghost = float(ghost_default)
+    return CostModel(
+        ghost=lambda pos, pat: ghost, sub=lambda i, choice: table.get(choice, sub_default), theta=args.theta, tau=args.tau
+    )
 
 
 def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[str, mt.MetricsReport]:
@@ -149,6 +164,8 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     out = inst.text
     out_counts = None  # kmer_counts(out, k), when a stage has it already
     implausible: ImplausibleSet | None = None
+    # Read before any stage runs, so that a malformed file fails fast.
+    cm = _load_cost_model(args, inst.alphabet) if args.pipeline in _MCSR_PIPELINES else None
 
     def timed(name: str, fn, *fn_args):
         start = time.perf_counter()
@@ -167,7 +184,6 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     if args.pipeline in _MCSR_PIPELINES:
         if args.pipeline == "tmi":
             implausible = timed("implausible", implausible_set, inst.text, inst.k, args.rho)
-        cm = _load_cost_model(args, inst.alphabet)
         result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible)
         report.lengths["z"] = len(result.text)
         out, out_counts = result.text, result.counts
@@ -253,73 +269,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    budget = OracleBudget(max_n=args.max_n, max_sigma=args.max_sigma)
-    if args.what in ("tfs", "etfs"):
-        if args.patterns is None:
-            raise InputError(f"oracle --what {args.what} requires --patterns")
-        inst = parse_inputs(args)
-        if args.what == "tfs":
-            length, witness = oracle_min_tfs(inst, budget)
-            print(f"minimal_length={length}")
-            print(f"witness={inst.alphabet.decode(witness)}")
-        else:
-            dist, witness = oracle_min_etfs(inst, budget)
-            print(f"minimal_distance={dist}")
-            print(f"witness={inst.alphabet.decode(witness)}")
-        return EXIT_OK
-    spec = json.loads(open(args.in_path, "r", encoding="utf-8").read())
-    if not isinstance(spec, dict):
-        raise InputError(f"{args.in_path}: expected a JSON object at the top level, got {type(spec).__name__}")
-    try:
-        if args.what == "mck":
-            if not isinstance(spec["classes"], list):
-                raise InputError(f"{args.in_path}: classes is not a list of classes: {spec['classes']!r}")
-            for i, cls in enumerate(spec["classes"]):
-                if not (isinstance(cls, list) and all(isinstance(el, dict) for el in cls)):
-                    raise InputError(f"{args.in_path}: classes[{i}] is not a list of {{choice, cost, weight}} objects: {cls!r}")
-                for j, el in enumerate(cls):
-                    if not (isinstance(el["choice"], str) and _is_number(el["cost"]) and _is_number(el["weight"])):
-                        raise InputError(f"{args.in_path}: classes[{i}][{j}] needs a string choice and a numeric cost and weight: {el!r}")
-            if not _is_number(spec["capacity"]):
-                raise InputError(f"{args.in_path}: capacity is not a number: {spec['capacity']!r}")
-            classes = tuple(
-                tuple(MckElement(choice=el["choice"], cost=el["cost"], weight=el["weight"]) for el in cls)
-                for cls in spec["classes"]
-            )
-            mck = MckInstance(classes=classes, capacity=spec["capacity"])
-        else:
-            if not isinstance(spec["pairs"], list):
-                raise InputError(f"{args.in_path}: pairs is not a list of pairs: {spec['pairs']!r}")
-            pairs = []
-            for i, pair in enumerate(spec["pairs"]):
-                if not (isinstance(pair, list) and len(pair) == 2 and all(_is_int(r) for r in pair)):
-                    raise InputError(f"{args.in_path}: pairs[{i}] is not a [prefix rank, suffix rank] pair: {pair!r}")
-                pairs.append(RankPair(i, *pair))
-            lengths, ell = spec["lengths"], spec["ell"]
-            if not (isinstance(lengths, list) and all(_is_int(n) for n in lengths)):
-                raise InputError(f"{args.in_path}: lengths is not a list of integers: {lengths!r}")
-            if not _is_int(ell):
-                raise InputError(f"{args.in_path}: ell is not an integer: {ell!r}")
-    except KeyError as exc:
-        raise InputError(f"{args.in_path}: missing key {exc}") from None
-    if args.what == "mck":
-        cost, picks = oracle_mck(mck, budget)
-        print(f"minimal_cost={cost:g}")
-        print("selection=" + ",".join(el.choice if el.choice else "<eps>" for el in picks))
-    else:
-        print(f"minimal_length={oracle_fo_ssm(pairs, lengths, ell, budget)}")
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors (exit 3), where argparse would exit 2."""
 
@@ -364,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="seqsan",
         description="Conceal sensitive length-k patterns in a sequence while preserving the rest.",
     )
-    # The oracle subcommand is registered but kept out of the advertised list.
     sub = parser.add_subparsers(dest="command", required=True, metavar="{sanitize,gen,verify}")
 
     p_san = sub.add_parser("sanitize", help="run a sanitization pipeline")
@@ -400,17 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--level", type=_levels, default="all", help="comma-separated subset of C1,P1,Pi1,P2,P3,P4")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_orc = sub.add_parser("oracle", help=argparse.SUPPRESS)
-    p_orc.add_argument("--what", choices=("tfs", "etfs", "mck", "fossm"), required=True)
-    p_orc.add_argument("--k", type=_positive_int, default=2)
-    p_orc.add_argument("--mode", choices=("char", "token"), default="char")
-    p_orc.add_argument("--in", dest="in_path", required=True)
-    p_orc.add_argument("--patterns", default=None)
-    p_orc.add_argument("--positions", action="store_true")
-    p_orc.add_argument("--max-n", type=int, default=10)
-    p_orc.add_argument("--max-sigma", type=int, default=2)
-    p_orc.set_defaults(func=_cmd_oracle)
-
     return parser
 
 
@@ -422,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SanitizationError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (SanitizationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

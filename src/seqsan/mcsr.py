@@ -7,7 +7,9 @@ estimate per separator), weighted by a substitution model, and solved as a
 multiple-choice knapsack: one choice per separator, minimum total cost,
 total weight at most theta.  Choices that would recreate a sensitive pattern
 are discarded outright, as are choices that would complete a statistically
-implausible window when an implausible set is supplied.
+implausible window when an implausible set is supplied.  Each separator's
+choices are enumerated once, by `separator_sites`; the ghost estimate and
+every knapsack build read that table.
 
 The input's k-mers are counted once.  A rewrite only adds the windows that
 cover a junction, so `McsrResult.counts`, the exact k-mer counts of the
@@ -18,6 +20,7 @@ counting the output again.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable
@@ -98,10 +101,6 @@ class McsrResult:
     counts: Counter[str] = field(repr=False, compare=False)
 
 
-def separator_positions(text: str) -> list[int]:
-    return [i for i, ch in enumerate(text) if ch == SEPARATOR]
-
-
 def context_string(text: str, sep_index: int, letter: str, k: int) -> str:
     """The letters a replacement exposes: up to k-1 on each side of the separator.
 
@@ -109,51 +108,58 @@ def context_string(text: str, sep_index: int, letter: str, k: int) -> str:
     neighbouring separators, since windows crossing another separator cannot
     contribute alphabet-only patterns.
     """
-    left, right = _context(text, separator_positions(text), sep_index, k)
+    pos = [i for i, ch in enumerate(text) if ch == SEPARATOR][sep_index - 1]
+    left, right = _context(text, pos, k)
     return left + letter + right
 
 
-def _context(text: str, positions: list[int], sep_index: int, k: int) -> tuple[str, str]:
-    """The letters left and right of separator `sep_index` that a replacement exposes."""
-    pos = positions[sep_index - 1]
-    left = text[max(0, pos - k + 1) : pos]
-    cut = left.rfind(SEPARATOR)
-    if cut != -1:
-        left = left[cut + 1 :]
-    right = text[pos + 1 : pos + k]
-    cut = right.find(SEPARATOR)
-    if cut != -1:
-        right = right[:cut]
+def _context(text: str, pos: int, k: int) -> tuple[str, str]:
+    """The letters left and right of the separator at `pos` that a replacement exposes."""
+    left = text[max(0, pos - k + 1) : pos].rpartition(SEPARATOR)[2]
+    right = text[pos + 1 : pos + k].partition(SEPARATOR)[0]
     return left, right
 
 
-def candidate_ghosts(
-    text: str, k: int, tau: int, letters: str, *, counts: Counter[str] | None = None
-) -> GhostCandidateSet:
+Site = tuple[int, list[tuple[str, tuple[str, ...]]]]
+
+
+def separator_sites(text: str, k: int, letters: str) -> list[Site]:
+    """Every separator's choices and the windows each would expose, enumerated once.
+
+    One entry per separator, left to right: the start in `text` of its context,
+    and a (choice, windows) pair per letter in order, then EPSILON.  The windows
+    are those of `context_string`, so window t starts at source position start + t.
+    """
+    choices = list(letters) + [EPSILON]
+    sites: list[Site] = []
+    pos = -1
+    while (pos := text.find(SEPARATOR, pos + 1)) != -1:
+        left, right = _context(text, pos, k)
+        # The table holds every window of every choice at once: tuples of interned strings keep it small.
+        options = [(c, tuple(map(sys.intern, _windows(left + c + right, k)))) for c in choices]
+        sites.append((pos - len(left), options))
+    return sites
+
+
+def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> GhostCandidateSet:
     """Worst-case reachable frequencies: per separator, the best single choice.
 
     max_freq_out(U) adds to U's current frequency, for every separator, the
     largest number of occurrences of U any one choice there would create.
-    `counts`, if given, must be `kmer_counts(text, k)`.  Only a pattern some
-    choice gains can reach tau from below, so only those are walked.
+    `counts` holds the k-mer counts of the text `sites` was built from.  Only
+    a pattern some choice gains can reach tau from below, so only those are walked.
     """
-    base = kmer_counts(text, k) if counts is None else counts
-    gains: dict[str, int] = defaultdict(int)
-    positions = separator_positions(text)
-    choices = list(letters) + [EPSILON]
-    for i in range(1, len(positions) + 1):
-        best: dict[str, int] = defaultdict(int)
-        left, right = _context(text, positions, i, k)
-        for choice in choices:
-            counts = Counter(_windows(left + choice + right, k))
-            for win, cnt in counts.items():
-                if cnt > best[win]:
+    gains: Counter[str] = Counter()
+    for _start, options in sites:
+        best: dict[str, int] = {}  # per window, its largest count over the choices
+        for _choice, windows in options:
+            for win, cnt in Counter(windows).items():
+                if cnt > best.get(win, 0):
                     best[win] = cnt
-        for win, gain in best.items():
-            gains[win] += gain
+        gains.update(best)
     entries = {}
     for pat, gain in gains.items():
-        freq_in = base.get(pat, 0)
+        freq_in = counts.get(pat, 0)
         top = freq_in + gain
         if freq_in < tau <= top:
             entries[pat] = (freq_in, top)
@@ -161,28 +167,22 @@ def candidate_ghosts(
 
 
 def build_mck(
-    text: str,
-    k: int,
-    letters: str,
+    sites: list[Site],
     cands: GhostCandidateSet,
     cm: CostModel,
     sensitive: frozenset[str] | set[str],
     implausible: ImplausibleSet | None = None,
     banned: set[tuple[int, str]] | None = None,
 ) -> MckInstance:
-    """One knapsack class per separator; elements are the surviving choices."""
+    """One knapsack class per separator of `sites`; elements are the surviving choices."""
     if cm.theta is None:
         raise ValueError("capacity must be resolved before building the knapsack")
-    positions = separator_positions(text)
     classes: list[tuple[MckElement, ...]] = []
-    for i in range(1, len(positions) + 1):
+    for i, (ctx_start, options) in enumerate(sites, start=1):
         elements: list[MckElement] = []
-        left, right = _context(text, positions, i, k)
-        ctx_start = positions[i - 1] - len(left)
-        for choice in list(letters) + [EPSILON]:
+        for choice, windows in options:
             if banned and (i, choice) in banned:
                 continue
-            windows = list(_windows(left + choice + right, k))
             if any(w in sensitive for w in windows):
                 continue
             if implausible is not None and any(w in implausible for w in windows):
@@ -338,21 +338,19 @@ def mcsr_sanitize(
     if cm is None:
         cm = uniform_cost_model(tau=1)
     counts = kmer_counts(text, k)
-    n_seps = text.count(SEPARATOR)
-    if n_seps == 0:
+    sites = separator_sites(text, k, inst.alphabet.chars)
+    if not sites:
         return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=(), counts=counts)
     if cm.theta is None:
-        cm = dc_replace(cm, theta=float(n_seps))
+        cm = dc_replace(cm, theta=float(len(sites)))
 
-    cands = candidate_ghosts(text, k, cm.tau, inst.alphabet.chars, counts=counts)
+    cands = candidate_ghosts(sites, counts, cm.tau)
     banned: set[tuple[int, str]] = set()
     parts = text.split(SEPARATOR)
-    max_rounds = n_seps * (inst.alphabet.size + 1) + 1
+    max_rounds = len(sites) * (inst.alphabet.size + 1) + 1
 
     for _ in range(max_rounds):
-        mck = build_mck(
-            text, k, inst.alphabet.chars, cands, cm, inst.sensitive_patterns, implausible, banned
-        )
+        mck = build_mck(sites, cands, cm, inst.sensitive_patterns, implausible, banned)
         selection = solve_mck(mck)
         choices = [el.choice for el in selection]
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seqsan import core
+from seqsan import cli, core
 from seqsan.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, main
 
 
@@ -185,24 +185,6 @@ def test_verify_subcommand(example1_files, capsys):
     assert "C1: FAIL" in capsys.readouterr().out
 
 
-def test_oracle_subcommand(tmp_path, capsys):
-    w = write(tmp_path / "w.txt", "abab\n")
-    p = write(tmp_path / "p.txt", "ba\n")
-    code = main(["oracle", "--what", "tfs", "--k", "2", "--in", w, "--patterns", p])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "minimal_length=5" in out
-
-    spec = tmp_path / "mck.json"
-    spec.write_text(json.dumps({
-        "classes": [[{"choice": "a", "cost": 5, "weight": 1}, {"choice": "b", "cost": 2, "weight": 3}]],
-        "capacity": 3,
-    }))
-    code = main(["oracle", "--what", "mck", "--in", str(spec)])
-    assert code == EXIT_OK
-    assert "minimal_cost=2" in capsys.readouterr().out
-
-
 def test_cost_model_file(tmp_path, example1_files):
     w, p, tmp = example1_files
     cm = write(tmp_path / "cm.json", json.dumps({"ghost_default": 1.0, "sub": {"c": 1, "epsilon": 1}, "sub_default": 1}))
@@ -221,6 +203,36 @@ def test_cost_model_file(tmp_path, example1_files):
     assert code == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ([1, 2], "expected a JSON object at the top level, got list"),
+        ({"ghost_default": None}, "ghost_default is not a finite number"),
+        ({"ghost_default": True}, "ghost_default is not a finite number"),
+        ({"ghost_default": float("nan")}, "ghost_default is not a finite number"),
+        ({"sub": [1]}, "sub is not an object"),
+        ({"sub": {"c": None}}, "sub['c'] is not a non-negative integer"),
+        ({"sub": {"c": "x"}}, "sub['c'] is not a non-negative integer"),
+        ({"sub": {"c": -1}}, "sub['c'] is not a non-negative integer"),
+        ({"sub_default": 0.5}, "sub_default is not a non-negative integer"),
+        ({"sub": {"z": 1}}, "token 'z' is not in the alphabet"),
+    ],
+)
+def test_malformed_cost_model_is_input_error_before_any_stage(tmp_path, example1_files, capsys, monkeypatch, spec, named):
+    def no_stage_may_run(*args):
+        raise AssertionError("a stage ran before the cost model was checked")
+
+    monkeypatch.setattr(cli, "tfs_sanitize", no_stage_may_run)
+    w, p, _tmp = example1_files
+    cm = write(tmp_path / "cm.json", json.dumps(spec))
+    for pipeline in ("tpm", "tm", "tmi"):
+        argv = ["sanitize", "--pipeline", pipeline, "--k", "4", "--rho", "-1", "--cost-model", cm, "--in", w, "--patterns", p]
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert "Traceback" not in err and last.startswith(f"error: {cm}: ") and named in last, (pipeline, last)
+
+
 def test_tmi_requires_rho(example1_files):
     w, p, _tmp = example1_files
     code = main(["sanitize", "--pipeline", "tmi", "--k", "4", "--in", w, "--patterns", p])
@@ -237,10 +249,10 @@ ABSENT = "<absent>"
         ([], "{sanitize,gen,verify}"),
         (["verify", "--k", "2", "--in", ABSENT, "--patterns", ABSENT, "--candidate", ABSENT, "--level", "P9"], "--level"),
         (["gen", "--n", "5", "--sigma", "0", "--out", ABSENT], "--sigma"),
-        (["oracle", "--what", "tfs", "--in", ABSENT], "--patterns"),
+        (["oracle", "--what", "tfs", "--in", ABSENT], "oracle"),
         (["sanitize", "--pipeline", "tmi", "--k", "2", "--rho", "-1", "--in", ABSENT, "--patterns", ABSENT], "--k"),
     ],
-    ids=["missing-patterns", "no-subcommand", "verify-level-P9", "gen-sigma-0", "oracle-tfs-no-patterns", "tmi-k-2"],
+    ids=["missing-patterns", "no-subcommand", "verify-level-P9", "gen-sigma-0", "oracle-is-unknown", "tmi-k-2"],
 )
 def test_bad_invocation_is_input_error_before_any_file_is_touched(tmp_path, capsys, argv, named):
     absent = tmp_path / "absent.txt"
@@ -253,51 +265,12 @@ def test_bad_invocation_is_input_error_before_any_file_is_touched(tmp_path, caps
     assert not absent.exists()
 
 
-@pytest.mark.parametrize("sub", [[], ["sanitize"], ["gen"], ["verify"], ["oracle"]])
+@pytest.mark.parametrize("sub", [[], ["sanitize"], ["gen"], ["verify"]])
 def test_help_exits_zero(capsys, sub):
     with pytest.raises(SystemExit) as exc:
         main([*sub, "--help"])
     assert exc.value.code == 0
     assert "usage: seqsan" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "what, spec, key",
-    [
-        ("mck", {"classes": [[{"choice": "a", "cost": 1, "weight": 1}]]}, "capacity"),
-        ("mck", {"classes": [[{"choice": "a", "cost": 1}]], "capacity": 1}, "weight"),
-        ("fossm", {"pairs": [[0, 1]], "lengths": [3]}, "ell"),
-    ],
-)
-def test_oracle_spec_missing_key_is_input_error(tmp_path, capsys, what, spec, key):
-    path = write(tmp_path / "spec.json", json.dumps(spec))
-    assert main(["oracle", "--what", what, "--in", path]) == EXIT_INPUT_ERROR
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and f"missing key '{key}'" in err
-
-
-@pytest.mark.parametrize(
-    "what, spec, named",
-    [
-        ("mck", [1, 2], "expected a JSON object at the top level, got list"),
-        ("fossm", "pairs", "expected a JSON object at the top level, got str"),
-        ("fossm", {"pairs": [[0, 1], [0, 1, 2]], "lengths": [3, 3], "ell": 1}, "pairs[1] is not a"),
-        ("fossm", {"pairs": [5], "lengths": [3], "ell": 1}, "pairs[0] is not a"),
-        ("mck", {"classes": 5, "capacity": 1}, "classes is not a list"),
-        ("mck", {"classes": [[1]], "capacity": 1}, "classes[0] is not a list"),
-        ("mck", {"classes": [[{"choice": "a", "cost": "x", "weight": 1}]], "capacity": 1}, "classes[0][0] needs"),
-        ("mck", {"classes": [[{"choice": "a", "cost": 1, "weight": 1}]], "capacity": "z"}, "capacity is not a number"),
-        ("fossm", {"pairs": 5, "lengths": [3], "ell": 1}, "pairs is not a list"),
-        ("fossm", {"pairs": [[0, 1]], "lengths": 3, "ell": 1}, "lengths is not a list"),
-        ("fossm", {"pairs": [[0, 1]], "lengths": [3], "ell": "x"}, "ell is not an integer"),
-    ],
-)
-def test_oracle_spec_of_wrong_shape_is_input_error(tmp_path, capsys, what, spec, named):
-    path = write(tmp_path / "spec.json", json.dumps(spec))
-    assert main(["oracle", "--what", what, "--in", path]) == EXIT_INPUT_ERROR
-    err = capsys.readouterr().err
-    last = err.strip().splitlines()[-1]
-    assert "Traceback" not in err and last.startswith(f"error: {path}: ") and named in last
 
 
 @pytest.mark.parametrize(

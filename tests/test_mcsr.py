@@ -6,6 +6,8 @@ import pytest
 
 from seqsan import (
     BadK,
+    CostModel,
+    GhostCandidateSet,
     Infeasible,
     MckElement,
     MckInstance,
@@ -18,6 +20,7 @@ from seqsan import (
     kmer_counts,
     mcsr_sanitize,
     pfs_sanitize,
+    separator_sites,
     solve_mck,
     tfs_sanitize,
     uniform_cost_model,
@@ -48,15 +51,15 @@ class TestContextString:
 
 class TestCandidateGhosts:
     def test_no_separator_no_candidates(self):
-        assert len(candidate_ghosts("abcabc", 3, 2, "abc")) == 0
+        assert len(candidate_ghosts(separator_sites("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 2)) == 0
 
     def test_hand_counted_example(self):
-        cands = candidate_ghosts("aa#aa", 2, 4, "a")
+        cands = candidate_ghosts(separator_sites("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 4)
         assert cands.entries == {"aa": (2, 4)}
-        assert len(candidate_ghosts("aa#aa", 2, 2, "a")) == 0
+        assert len(candidate_ghosts(separator_sites("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 2)) == 0
 
     def test_tau_one_absent_but_creatable(self):
-        cands = candidate_ghosts("ab#ba", 2, 1, "ab")
+        cands = candidate_ghosts(separator_sites("ab#ba", 2, "ab"), kmer_counts("ab#ba", 2), 1)
         # every freshly creatable window is a candidate at tau=1
         assert "bb" in cands
         assert "ab" not in cands  # already occurs
@@ -70,7 +73,7 @@ class TestCandidateGhosts:
             y = left + "#" + right
             k = 2
             tau = rng.randint(1, 3)
-            cands = candidate_ghosts(y, k, tau, letters)
+            cands = candidate_ghosts(separator_sites(y, k, letters), kmer_counts(y, k), tau)
             base = kmer_counts(y, k)
             best = {}
             for ch in list(letters) + [""]:
@@ -116,11 +119,82 @@ class TestCandidateGhostsDefinition:
             k = rng.randint(1, 4)
             tau = rng.randint(1, 4)
             want = _ghost_definition(text, k, tau, letters)
-            assert candidate_ghosts(text, k, tau, letters).entries == want, (text, k, tau)
-            got = candidate_ghosts(text, k, tau, letters, counts=kmer_counts(text, k))
+            got = candidate_ghosts(separator_sites(text, k, letters), kmer_counts(text, k), tau)
             assert got.entries == want, (text, k, tau)
             found += bool(want)
         assert found > 100
+
+
+def _separators_and_left_contexts(text, k):
+    """Per separator: its position, and the letters left of it a replacement exposes (at most k-1, none past a '#')."""
+    out = []
+    for pos, ch in enumerate(text):
+        if ch == "#":
+            left = ""
+            while len(left) < k - 1 and pos - len(left) > 0 and text[pos - len(left) - 1] != "#":
+                left = text[pos - len(left) - 1] + left
+            out.append((pos, left))
+    return out
+
+
+class TestSeparatorSites:
+    def test_windows_are_those_of_context_string(self):
+        rng = random.Random(43)
+        seen = Counter()
+        for _ in range(600):
+            letters = "abcd"[: rng.randint(1, 4)]
+            text = _random_separated(rng, letters, 16)
+            k = rng.randint(1, 4)
+            sites = separator_sites(text, k, letters)
+            expected = _separators_and_left_contexts(text, k)
+            assert len(sites) == len(expected), (text, k)
+            for i, ((start, options), (pos, left)) in enumerate(zip(sites, expected), start=1):
+                assert start + len(left) == pos, (text, k, i)
+                assert [choice for choice, _ in options] == list(letters) + [""]
+                for choice, windows in options:
+                    ctx = context_string(text, i, choice, k)
+                    assert list(windows) == [ctx[t : t + k] for t in range(len(ctx) - k + 1)], (text, k, i, choice)
+            blocks = text.split("#")
+            seen["leading"] += text.startswith("#")
+            seen["trailing"] += text.endswith("#")
+            seen["adjacent"] += "##" in text
+            seen["short block"] += len(blocks) > 1 and any(0 < len(b) < k for b in blocks)
+            seen["k = 1"] += k == 1 and len(blocks) > 1
+        assert min(seen.values()) > 20, seen
+
+
+class TestGhostPositions:
+    def test_build_mck_costs_windows_at_their_source_positions(self):
+        rng = random.Random(44)
+        costed = 0
+        for _ in range(400):
+            letters = "abc"[: rng.randint(1, 3)]
+            text = _random_separated(rng, letters, 16)
+            k = rng.randint(1, 4)
+            contexts = {context_string(text, i, c, k) for i in range(1, text.count("#") + 1) for c in list(letters) + [""]}
+            every = {ctx[t : t + k] for ctx in contexts for t in range(len(ctx) - k + 1)}
+            sensitive = {w for w in sorted(every) if rng.random() < 0.2}
+            cands = GhostCandidateSet(entries={w: (0, 1) for w in sorted(every) if rng.random() < 0.6}, tau=1)
+            cm = CostModel(ghost=lambda pos, pat: 1.0 + 10 * pos + len(pat), sub=lambda i, c: 1, theta=100.0, tau=1)
+            want = []
+            for i, (pos, left) in enumerate(_separators_and_left_contexts(text, k), start=1):
+                elements = []
+                for choice in list(letters) + [""]:
+                    ctx = context_string(text, i, choice, k)
+                    windows = [ctx[t : t + k] for t in range(len(ctx) - k + 1)]
+                    if not any(w in sensitive for w in windows):
+                        # window t of the context starts at source position (pos - len(left)) + t
+                        cost = sum(cm.ghost(pos - len(left) + t, w) for t, w in enumerate(windows) if w in cands)
+                        elements.append(MckElement(choice, cost, 1))
+                want.append(tuple(elements))
+            try:
+                got = build_mck(separator_sites(text, k, letters), cands, cm, sensitive)
+            except Infeasible:
+                assert not all(want), text
+                continue
+            assert got.classes == tuple(want), (text, k)
+            costed += any(el.cost for cls in want for el in cls)
+        assert costed > 100
 
 
 class TestResultCounts:
@@ -160,8 +234,9 @@ class TestResultCounts:
 class TestBuildMck:
     def test_forbidden_letters_dropped(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
-        cands = candidate_ghosts(PAPER_Y, 4, 1, "abc")
-        inst = build_mck(PAPER_Y, 4, "abc", cands, cm, example1.sensitive_patterns)
+        sites = separator_sites(PAPER_Y, 4, "abc")
+        cands = candidate_ghosts(sites, kmer_counts(PAPER_Y, 4), 1)
+        inst = build_mck(sites, cands, cm, example1.sensitive_patterns)
         choices = {el.choice for el in inst.classes[0]}
         assert "a" not in choices  # bba + a + aab recreates bbaa
         assert "" not in choices  # deleting joins bba|aab, recreating bbaa
@@ -170,14 +245,15 @@ class TestBuildMck:
     def test_infeasible_when_every_choice_unsafe(self):
         inst = build_instance("abab", 2, patterns=["ba"])
         cm = uniform_cost_model(tau=1, theta=1.0)
-        cands = candidate_ghosts("ab#ab", 2, 1, "ab")
+        sites = separator_sites("ab#ab", 2, "ab")
+        cands = candidate_ghosts(sites, kmer_counts("ab#ab", 2), 1)
         with pytest.raises(Infeasible):
-            build_mck("ab#ab", 2, "ab", cands, cm, inst.sensitive_patterns)
+            build_mck(sites, cands, cm, inst.sensitive_patterns)
 
     def test_zero_cost_when_no_candidates(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
-        empty = candidate_ghosts("abcabc", 3, 1, "abc")  # no separators: empty
-        inst = build_mck(PAPER_Y, 4, "abc", empty, cm, example1.sensitive_patterns)
+        empty = candidate_ghosts(separator_sites("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 1)  # no separators: empty
+        inst = build_mck(separator_sites(PAPER_Y, 4, "abc"), empty, cm, example1.sensitive_patterns)
         assert all(el.cost == 0 for cls in inst.classes for el in cls)
 
 

@@ -167,9 +167,9 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     # Read before any stage runs, so that a malformed file fails fast.
     cm = _load_cost_model(args, inst.alphabet) if args.pipeline in _MCSR_PIPELINES else None
 
-    def timed(name: str, fn, *fn_args):
+    def timed(name: str, fn, *fn_args, **fn_kwargs):
         start = time.perf_counter()
-        value = fn(*fn_args)
+        value = fn(*fn_args, **fn_kwargs)
         timings[name] = (time.perf_counter() - start) * 1000.0
         return value
 
@@ -184,7 +184,8 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     if args.pipeline in _MCSR_PIPELINES:
         if args.pipeline == "tmi":
             implausible = timed("implausible", implausible_set, inst.text, inst.k, args.rho)
-        result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible)
+        # A TFS or PFS output keeps exactly the source's non-sensitive counts.
+        result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible, counts=inst.preserved_counts())
         report.lengths["z"] = len(result.text)
         out, out_counts = result.text, result.counts
         if args.rho is not None:
@@ -206,7 +207,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
 
     report.lengths["output"] = len(out)
     report.distortion, lost, ghost = mt.frequency_changes(
-        inst.text, out, inst.k, args.tau, inst.sensitive_patterns, output_counts=out_counts
+        inst.text, out, inst.k, args.tau, inst.sensitive_patterns, source_counts=inst.counts, output_counts=out_counts
     )
     report.lost = sorted(lost)
     report.ghost = sorted(ghost)

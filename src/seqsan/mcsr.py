@@ -11,10 +11,11 @@ implausible window when an implausible set is supplied.  Each separator's
 choices are enumerated once, by `separator_sites`; the ghost estimate and
 every knapsack build read that table.
 
-The input's k-mers are counted once.  A rewrite only adds the windows that
-cover a junction, so `McsrResult.counts`, the exact k-mer counts of the
-output, is the input's counts plus those windows; reports read it instead of
-counting the output again.
+The input's k-mers are counted at most once: a caller that knows them, such
+as the pipelines whose input is a TFS or PFS output, hands them in.  A
+rewrite only adds the windows that cover a junction, so `McsrResult.counts`,
+the exact k-mer counts of the output, is the input's counts plus those
+windows; reports read it instead of counting the output again.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> Ghost
     for _start, options in sites:
         best: dict[str, int] = {}  # per window, its largest count over the choices
         for _choice, windows in options:
-            for win, cnt in Counter(windows).items():
+            for win in windows:
+                cnt = windows.count(win)  # at most k windows, so a scan beats a Counter
                 if cnt > best.get(win, 0):
                     best[win] = cnt
         gains.update(best)
@@ -178,19 +180,20 @@ def build_mck(
     if cm.theta is None:
         raise ValueError("capacity must be resolved before building the knapsack")
     classes: list[tuple[MckElement, ...]] = []
+    entries = cands.entries
     for i, (ctx_start, options) in enumerate(sites, start=1):
         elements: list[MckElement] = []
         for choice, windows in options:
             if banned and (i, choice) in banned:
                 continue
-            if any(w in sensitive for w in windows):
+            if not sensitive.isdisjoint(windows):
                 continue
             if implausible is not None and any(w in implausible for w in windows):
                 continue
             weight = cm.sub(i, choice)
             if weight is None or weight > cm.theta:
                 continue
-            cost = sum(cm.ghost(ctx_start + t, w) for t, w in enumerate(windows) if w in cands)
+            cost = sum(cm.ghost(ctx_start + t, w) for t, w in enumerate(windows) if w in entries)
             elements.append(MckElement(choice=choice, cost=cost, weight=weight))
         if not elements:
             raise Infeasible(f"no admissible choice for separator {i}; Z cannot be constructed")
@@ -324,6 +327,8 @@ def mcsr_sanitize(
     inst: SanitizationInstance,
     cm: CostModel | None = None,
     implausible: ImplausibleSet | None = None,
+    *,
+    counts: Counter[str] | None = None,
 ) -> McsrResult:
     """Rewrite every separator of `text` into an alphabet letter or a deletion.
 
@@ -332,12 +337,15 @@ def mcsr_sanitize(
     interaction between nearby sites have produced a sensitive or implausible
     window, the offending choice is banned and the knapsack re-solved.  The
     output's counts are the input's plus the windows at every start that
-    covers a junction, each start once.
+    covers a junction, each start once.  `counts`, if given, must equal
+    `kmer_counts(text, inst.k)`; it becomes the result's counts and is updated
+    in place.
     """
     k = inst.k
     if cm is None:
         cm = uniform_cost_model(tau=1)
-    counts = kmer_counts(text, k)
+    if counts is None:
+        counts = kmer_counts(text, k)
     sites = separator_sites(text, k, inst.alphabet.chars)
     if not sites:
         return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=(), counts=counts)

@@ -167,7 +167,8 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
             lost_windows, extra_windows = (Counter(_windows(SEPARATOR.join(side.elements()), k)) for side in (lost, extra))
             if lost_windows == extra_windows:
                 return VerifyResult(level, True)
-        want = Counter(text[i : i + k] for i in inst.nonsensitive_positions)
+        # Closure makes every occurrence of a kept pattern non-sensitive, so these are its counts in source order.
+        want = inst.preserved_counts()
         got = kmer_counts(candidate, k)
         diff = (want - got) + (got - want)
         pat = next(iter(diff))
@@ -258,17 +259,19 @@ def frequency_changes(
     tau: int,
     sensitive: frozenset[str] | set[str] = frozenset(),
     *,
+    source_counts: Counter[str] | None = None,
     output_counts: Counter[str] | None = None,
 ) -> tuple[float, set[str], set[str]]:
     """`distortion` and `lost_ghost` from one pair of k-mer counts and one walk of the patterns whose counts differ.
 
     A pattern with the same count in both strings adds no distortion and
-    crosses no threshold.  `output_counts`, if given, must be
-    `kmer_counts(output, k)`.
+    crosses no threshold.  `source_counts`, if given, must equal
+    `kmer_counts(source, k)`, and `output_counts`, if given, must equal
+    `kmer_counts(output, k)`.  Neither is modified.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    want = kmer_counts(source, k)
+    want = kmer_counts(source, k) if source_counts is None else source_counts
     got = kmer_counts(output, k) if output_counts is None else output_counts
     total = 0.0
     lost = set()

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -291,3 +292,40 @@ def test_verify_level_subset(example1_files, capsys):
     code = main(["verify", "--k", "4", "--in", w, "--patterns", p, "--candidate", cand, "--level", "P4,C1"])
     assert code == EXIT_OK
     assert capsys.readouterr().out.split() == ["P4:", "pass", "C1:", "pass"]
+
+
+def _count_calls(monkeypatch):
+    """Record (text, k) for every `kmer_counts` call, wherever a `seqsan` module refers to it."""
+    calls = []
+    original = core.kmer_counts
+
+    def counting(text, k):
+        calls.append((text, k))
+        return original(text, k)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "seqsan" or name.startswith("seqsan.")) and getattr(mod, "kmer_counts", None) is original:
+            monkeypatch.setattr(mod, "kmer_counts", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pipeline", ["tpm", "tm"])
+def test_source_is_counted_once(example1_files, monkeypatch, pipeline):
+    w, p, tmp = example1_files
+    calls = _count_calls(monkeypatch)
+    argv = ["sanitize", "--pipeline", pipeline, "--k", "4", "--tau", "1", "--in", w, "--patterns", p,
+            "--out", str(tmp / "z.txt"), "--report", str(tmp / "rep.txt")]
+    assert main(argv) == EXIT_OK
+    # The counts of the TFS or PFS output and of the MCSR output derive from the source's.
+    assert calls == [("aabaaacbcbbbaabbacaab", 4)]
+
+
+@pytest.mark.parametrize("pipeline", ["tpm", "tm", "tmi", "etfs", "ba"])
+def test_run_pipeline_leaves_the_shared_counts_alone(example1, pipeline):
+    args = cli.build_parser().parse_args(
+        ["sanitize", "--pipeline", pipeline, "--k", "4", "--tau", "1", "--rho", "-1", "--in", "-", "--patterns", "-"]
+    )
+    before = dict(example1.counts)
+    order = list(example1.counts)
+    cli.run_pipeline(args, example1)
+    assert dict(example1.counts) == before and list(example1.counts) == order

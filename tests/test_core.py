@@ -1,5 +1,6 @@
 import logging
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,11 +8,15 @@ from seqsan import (
     Alphabet,
     BadK,
     BadPosition,
+    SanitizationInstance,
     SeparatorInInput,
     build_instance,
     contains_sensitive,
+    core,
     kmer_counts,
     overlap_chains,
+    pfs_sanitize,
+    tfs_sanitize,
 )
 from conftest import random_instance
 
@@ -101,6 +106,109 @@ class TestBuildInstance:
             inst = build_instance("aaaa", 2, patterns=["bb"])
         assert inst.sensitive_positions == frozenset()
         assert any("does not occur" in rec.message for rec in caplog.records)
+
+
+def _closure_by_find(text, k, wanted):
+    """Closure by definition: every occurrence of every wanted pattern, one `str.find` scan per pattern."""
+    positions, patterns, absent = set(), set(), []
+    for pat in sorted(wanted):
+        pos = text.find(pat)
+        if pos == -1:
+            absent.append(pat)
+        while pos != -1:
+            positions.add(pos)
+            patterns.add(pat)
+            pos = text.find(pat, pos + 1)
+    n = len(text)
+    mask = bytearray(n)
+    for i in positions:
+        mask[i] = 1
+    mask[n - k + 1 :] = bytes([mask[n - k]]) * (k - 1)
+    return positions, patterns, bytes(mask), absent
+
+
+class TestOneWindowClosure:
+    def test_matches_per_pattern_scan(self, caplog, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("closure must not scan once per pattern")
+
+        monkeypatch.setattr(core, "_occurrences", no_scan)
+        rng = random.Random(8)
+        seen = {"overlap": 0, "absent": 0, "k1": 0, "k_n_minus_1": 0, "positions": 0}
+        for trial in range(2400):
+            n = rng.randint(2, 24)
+            sigma = rng.randint(1, 4)
+            text = "".join(rng.choice("abcd"[:sigma]) for _ in range(n))
+            k = rng.choice([1, n - 1, rng.randint(1, n - 1)])
+            windows = [text[i : i + k] for i in range(n - k + 1)]
+            patterns = [w for w in sorted(set(windows)) if rng.random() < 0.3]
+            # Random patterns, many of them absent: over a letter the text lacks, or in an order it lacks.
+            for _ in range(rng.randint(0, 2)):
+                patterns.append("".join(rng.choice("abcde") for _ in range(k)))
+            positions = rng.sample(range(n - k + 1), rng.randint(0, min(3, n - k + 1))) if trial % 2 else []
+            wanted = set(patterns) | {text[i : i + k] for i in positions}
+            want_pos, want_pat, want_mask, absent = _closure_by_find(text, k, wanted)
+
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="seqsan.core"):
+                inst = build_instance(text, k, patterns=patterns, positions=positions)
+            assert inst.sensitive_positions == want_pos, (text, k, wanted)
+            assert inst.sensitive_patterns == want_pat, (text, k, wanted)
+            assert inst.mask == want_mask, (text, k, wanted)
+            assert [rec.getMessage() for rec in caplog.records] == [
+                f"sensitive pattern {pat!r} does not occur in the input; nothing to conceal" for pat in absent
+            ]
+
+            seen["overlap"] += any(pos + 1 in want_pos and text[pos + 1 : pos + 1 + k] == text[pos : pos + k]
+                                   for pos in want_pos)
+            seen["absent"] += bool(absent)
+            seen["k1"] += k == 1
+            seen["k_n_minus_1"] += k == n - 1 and k > 1
+            seen["positions"] += bool(positions)
+        assert min(seen.values()) > 100, seen
+
+    def test_overlapping_occurrences_all_marked(self):
+        inst = build_instance("baaaab", 2, patterns=["aa"])
+        assert sorted(inst.sensitive_positions) == [1, 2, 3]
+        assert inst.mask == bytes([0, 1, 1, 1, 0, 0])
+
+
+class TestInheritedCounts:
+    def test_tfs_and_pfs_outputs_have_the_preserved_counts(self):
+        rng = random.Random(9)
+        all_sensitive = none_sensitive = 0
+        for trial in range(2000):
+            rate = (0.0, 1.0, rng.random())[trial % 3]
+            inst = random_instance(rng, n_min=4, n_max=36, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5), sensitive_rate=rate)
+            preserved = inst.preserved_counts()
+            assert preserved == kmer_counts(inst.text, inst.k) - Counter(
+                {p: inst.counts[p] for p in inst.sensitive_patterns}
+            )
+            x = tfs_sanitize(inst)
+            assert kmer_counts(x, inst.k) == preserved, (inst.text, inst.k)
+            assert kmer_counts(pfs_sanitize(inst, x), inst.k) == preserved, (inst.text, inst.k)
+            all_sensitive += not inst.nonsensitive_positions
+            none_sensitive += not inst.sensitive_patterns
+        assert all_sensitive > 300 and none_sensitive > 300, (all_sensitive, none_sensitive)
+
+    def test_preserved_counts_is_a_fresh_copy(self, example1):
+        counts = Counter(example1.counts)
+        kept = example1.preserved_counts()
+        kept["aaaa"] += 7
+        assert example1.counts == counts
+        assert example1.preserved_counts() == counts - Counter({"baaa": 1, "bbaa": 1})
+
+    def test_absent_sensitive_pattern_is_skipped(self):
+        text = "abcab"
+        inst = SanitizationInstance(
+            text=text,
+            k=2,
+            alphabet=Alphabet.from_text(text),
+            sensitive_positions=frozenset(),
+            sensitive_patterns=frozenset({"cc"}),
+            mask=bytes(len(text)),
+        )
+        assert inst.preserved_counts() == kmer_counts(text, 2)
 
 
 class TestKmerCounts:

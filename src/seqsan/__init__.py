@@ -23,7 +23,6 @@ from .errors import (
     BudgetExceeded,
     Infeasible,
     NoNonSensitive,
-    OutOfBounds,
     SanitizationError,
     SeparatorInInput,
     UndefinedWhenZero,
@@ -59,7 +58,7 @@ from .metrics import (
 )
 from .oracles import OracleBudget, oracle_fo_ssm, oracle_mck, oracle_min_etfs, oracle_min_tfs
 from .pfs import RankPair, fo_ssm, pfs_sanitize, rank_blocks, split_blocks
-from .tfs import CompactTfs, Interval, Separator, expand, tfs_compact, tfs_sanitize
+from .tfs import tfs_sanitize
 
 __version__ = "0.1.0"
 
@@ -72,11 +71,6 @@ __all__ = [
     "kmer_counts",
     "overlap_chains",
     "tfs_sanitize",
-    "tfs_compact",
-    "expand",
-    "CompactTfs",
-    "Interval",
-    "Separator",
     "pfs_sanitize",
     "split_blocks",
     "rank_blocks",
@@ -122,7 +116,6 @@ __all__ = [
     "BadK",
     "BadPosition",
     "BlockTooShort",
-    "OutOfBounds",
     "NoNonSensitive",
     "Infeasible",
     "UndefinedWhenZero",

@@ -176,7 +176,8 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     if args.pipeline in ("tfs", "pfs", "tpm", "tm", "tmi", "etfs"):
         x = timed("tfs", tfs_sanitize, inst)
         report.lengths["x"] = len(x)
-        out = x
+        # A TFS or PFS output keeps exactly the source's non-sensitive counts.
+        out, out_counts = x, inst.preserved_counts()
     if args.pipeline in ("pfs", "tpm"):
         y = timed("pfs", pfs_sanitize, inst, x)
         report.lengths["y"] = len(y)
@@ -184,8 +185,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     if args.pipeline in _MCSR_PIPELINES:
         if args.pipeline == "tmi":
             implausible = timed("implausible", implausible_set, inst.text, inst.k, args.rho)
-        # A TFS or PFS output keeps exactly the source's non-sensitive counts.
-        result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible, counts=inst.preserved_counts())
+        result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible, counts=out_counts)
         report.lengths["z"] = len(result.text)
         out, out_counts = result.text, result.counts
         if args.rho is not None:
@@ -200,9 +200,9 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
             report.edre = mt.edre(inst.text, out, match.text, optimal_distance=match.distance)
         except mt.UndefinedWhenZero:
             report.notes.append("edre undefined: optimal distance is zero")
-        out = match.text
+        out, out_counts = match.text, None
     if args.pipeline == "ba":
-        out = timed("ba", mt.ba_sanitize, inst)
+        out, out_counts = timed("ba", mt.ba_sanitize, inst), None
         report.lengths["zba"] = len(out)
 
     report.lengths["output"] = len(out)

@@ -7,6 +7,10 @@ pattern has length k, so closure is one left-to-right pass that looks each
 window up in the set of wanted patterns.  All sanitizers in this package
 consume instances built here.
 
+`overlap_chains` spells the maximal overlap chains of the non-sensitive
+windows.  It is the one spelling behind both the TFS output (the chains joined
+by '#') and the verifiers that decide C1, P1, Pi1 and P2 on it.
+
 An instance counts its k-mers once, on first use (`counts`).  Every TFS and
 PFS output has `preserved_counts()` as its k-mer counts, so no stage counts
 such a string again.
@@ -168,17 +172,12 @@ class SanitizationInstance:
         return self.text[i : i + self.k]
 
 
-def _occurrences(text: str, pattern: str, limit: int | None = None) -> list[int]:
-    """Start positions of every occurrence of `pattern`, overlaps included; none if it is empty.
-
-    With `limit`, the scan stops at the first `limit` occurrences.
-    """
+def _occurrences(text: str, pattern: str) -> list[int]:
+    """Start positions of every occurrence of `pattern`, overlaps included; none if it is empty."""
     found: list[int] = []
     pos = text.find(pattern) if pattern else -1
     while pos != -1:
         found.append(pos)
-        if len(found) == limit:
-            break
         pos = text.find(pattern, pos + 1)
     return found
 

@@ -21,10 +21,6 @@ class BlockTooShort(SanitizationError):
     """A block is too short for the requested affix length."""
 
 
-class OutOfBounds(SanitizationError):
-    """A compact-form interval references positions outside the source string."""
-
-
 class NoNonSensitive(SanitizationError):
     """Every window of the input is sensitive; no anchor pattern exists."""
 

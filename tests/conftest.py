@@ -28,6 +28,22 @@ def random_instance(
     return build_instance(text, k, patterns=patterns)
 
 
+def check_tfs_definition(x: str, inst: SanitizationInstance) -> None:
+    """Check a TFS output against the definition alone, without the package's chain spelling or verifiers.
+
+    Its separator-free windows, read left to right, are the source's
+    non-sensitive windows in order; every block has at least k letters; and no
+    two adjacent blocks overlap by k-1 letters, so no separator could go.
+    """
+    text, k = inst.text, inst.k
+    blocks = x.split("#") if x else []
+    windows = [b[i : i + k] for b in blocks for i in range(len(b) - k + 1)]
+    assert windows == [text[i : i + k] for i in inst.nonsensitive_positions]
+    assert all(len(b) >= k for b in blocks), blocks
+    for left, right in zip(blocks, blocks[1:]):
+        assert left[len(left) - k + 1 :] != right[: k - 1], (left, right)
+
+
 @pytest.fixture
 def example1() -> SanitizationInstance:
     return build_instance("aabaaacbcbbbaabbacaab", 4, patterns=["baaa", "bbaa"])

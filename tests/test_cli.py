@@ -309,7 +309,7 @@ def _count_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("pipeline", ["tpm", "tm"])
+@pytest.mark.parametrize("pipeline", ["tpm", "tm", "tfs", "pfs"])
 def test_source_is_counted_once(example1_files, monkeypatch, pipeline):
     w, p, tmp = example1_files
     calls = _count_calls(monkeypatch)

@@ -8,17 +8,14 @@ from seqsan import (
     Infeasible,
     build_instance,
     contains_sensitive,
-    expand,
     kmer_counts,
     mcsr_sanitize,
-    overlap_chains,
     pfs_sanitize,
-    split_blocks,
-    tfs_compact,
     tfs_sanitize,
     uniform_cost_model,
     verify_levels,
 )
+from conftest import check_tfs_definition
 
 
 @st.composite
@@ -43,14 +40,8 @@ def test_total_order_output_satisfies_all_levels(inst):
 
 @settings(max_examples=120, deadline=None)
 @given(instances())
-def test_compact_form_expands_to_the_same_string(inst):
-    assert expand(tfs_compact(inst), inst.text) == tfs_sanitize(inst)
-
-
-@settings(max_examples=120, deadline=None)
-@given(instances())
 def test_blocks_are_exactly_the_overlap_chains(inst):
-    assert split_blocks(tfs_sanitize(inst)) == overlap_chains(inst)
+    check_tfs_definition(tfs_sanitize(inst), inst)
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,21 +1,8 @@
 import random
+from collections import Counter
 
-import pytest
-
-from seqsan import (
-    Interval,
-    OutOfBounds,
-    build_instance,
-    expand,
-    kmer_counts,
-    overlap_chains,
-    split_blocks,
-    tfs_compact,
-    tfs_sanitize,
-    verify_levels,
-)
-from seqsan.tfs import SEP_SEGMENT, CompactTfs
-from conftest import random_instance
+from seqsan import build_instance, kmer_counts, tfs_sanitize, verify_levels
+from conftest import check_tfs_definition, random_instance
 
 
 def test_example1_golden(example1):
@@ -43,46 +30,6 @@ def test_example_merge_chain_golden(example_merge_chain):
     assert tfs_sanitize(example_merge_chain) == "aaabaccb#cbbb"
 
 
-def test_compact_example1(example1):
-    compact = tfs_compact(example1)
-    assert compact.segments == (
-        Interval(0, 4),
-        SEP_SEGMENT,
-        Interval(3, 12),
-        SEP_SEGMENT,
-        Interval(11, 20),
-    )
-    assert expand(compact, example1.text) == tfs_sanitize(example1)
-
-
-def test_compact_identity_and_empty():
-    inst = build_instance("abcabc", 3)
-    assert tfs_compact(inst).segments == (Interval(0, 5),)
-    all_sens = build_instance("aaaa", 2, patterns=["aa"])
-    assert tfs_compact(all_sens).segments == ()
-
-
-def test_expand_basic():
-    assert expand(CompactTfs(segments=(Interval(0, 2),)), "abc") == "abc"
-    assert expand(CompactTfs(segments=(Interval(0, 1), SEP_SEGMENT, Interval(1, 2))), "abc") == "ab#bc"
-
-
-def test_expand_out_of_bounds():
-    with pytest.raises(OutOfBounds):
-        expand(CompactTfs(segments=(Interval(0, 3),)), "abc")
-
-
-def test_compact_agrees_with_expanded_on_random_instances():
-    rng = random.Random(3)
-    for _ in range(120):
-        inst = random_instance(rng)
-        compact = tfs_compact(inst)
-        assert expand(compact, inst.text) == tfs_sanitize(inst)
-        seps = sum(1 for s in compact.segments if s is SEP_SEGMENT)
-        assert seps <= (inst.n - inst.k + 1) // 2
-        assert len(compact.segments) <= 2 * inst.n + 1
-
-
 def test_properties_on_random_instances():
     rng = random.Random(4)
     for _ in range(80):
@@ -105,11 +52,17 @@ def test_frequency_preservation_is_exact():
 
 
 def test_blocks_spell_overlap_chains():
+    # Read against the definition of the chains, not against `overlap_chains`, which the output is built from.
     rng = random.Random(6)
-    for _ in range(60):
-        inst = random_instance(rng)
-        x = tfs_sanitize(inst)
-        assert split_blocks(x) == overlap_chains(inst)
+    seen = Counter()
+    for trial in range(2400):
+        rate = (0.0, 1.0, 0.35, rng.random())[trial % 4]
+        inst = random_instance(rng, n_min=2, n_max=40, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5), sensitive_rate=rate)
+        check_tfs_definition(tfs_sanitize(inst), inst)
+        seen["k=1"] += inst.k == 1
+        seen["all sensitive"] += not inst.nonsensitive_positions
+        seen["none sensitive"] += not inst.sensitive_positions
+    assert min(seen.values()) >= 100, seen
 
 
 def test_separator_spacing():
@@ -126,4 +79,3 @@ def test_k_equals_one():
     inst = build_instance("abcabca", 1, patterns=["b"])
     x = tfs_sanitize(inst)
     assert x == "acaca"
-    assert expand(tfs_compact(inst), inst.text) == x

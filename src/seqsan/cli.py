@@ -184,20 +184,23 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         out = y
     if args.pipeline in _MCSR_PIPELINES:
         if args.pipeline == "tmi":
-            implausible = timed("implausible", implausible_set, inst.text, inst.k, args.rho)
+            implausible = timed("implausible", implausible_set, inst.text, inst.k, args.rho, counts=inst.counts)
         result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible, counts=out_counts)
         report.lengths["z"] = len(result.text)
         out, out_counts = result.text, result.counts
         if args.rho is not None:
             if implausible is None:
-                implausible = implausible_set(inst.text, inst.k, args.rho)
+                implausible = implausible_set(inst.text, inst.k, args.rho, counts=inst.counts)
             report.implausible_pct = _implausible_pct(result.site_windows, implausible)
     if args.pipeline == "etfs":
         match = timed("etfs", etfs_sanitize, inst)
         report.lengths["xed"] = len(match.text)
         report.edit_distance = match.distance
         try:
-            report.edre = mt.edre(inst.text, out, match.text, optimal_distance=match.distance)
+            # `out` is the TFS output, the shortest member whose distance started the cut-off.
+            report.edre = mt.edre(
+                inst.text, out, match.text, optimal_distance=match.distance, heuristic_distance=match.shortest_distance
+            )
         except mt.UndefinedWhenZero:
             report.notes.append("edre undefined: optimal distance is zero")
         out, out_counts = match.text, None

@@ -14,18 +14,23 @@ witness.
 
 Each column takes one sweep over the states in order: every in-column edge
 but the filler loops' '#' back-edges runs forward, and those never lower a
-value.  Ukkonen's cut-off keeps a column to the band of states valued at most
-a bound D, which starts at the distance to the TFS output (the language's
-shortest member) and doubles if the optimum lies above it, so a pass costs
-about n * D instead of n * |automaton|.  The traceback re-derives parents
-from stored bands; for long inputs only every 64th band is kept and the
-columns between are recomputed window by window.
+value.  A column keeps a state only if its value plus a lower bound on the
+rest of the alignment is at most a bound D: with r letters left to read, a
+state from which the automaton must still emit m letters to accept costs at
+least max(0, m - r) more (A* with a consistent heuristic, which drops no cell
+of an alignment within D).  D starts at the distance to the TFS output (the
+language's shortest member), as in Ukkonen's cut-off, and doubles if the
+optimum lies above it.  Each column sweeps from its first kept state to its
+last.  The traceback re-derives parents from stored bands; for long inputs
+only every 64th band is kept and the columns between are recomputed window
+by window.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 from .core import SEPARATOR, Alphabet, SanitizationInstance
 from .errors import NoNonSensitive
@@ -112,6 +117,9 @@ class MatchResult:
     text: str
     distance: int
     trace: tuple[tuple[str, str], ...] | None = None
+    # edit_distance(source, regex.shortest_member()), the starting bound (for
+    # `etfs_sanitize`, the distance to the TFS output); equality ignores it.
+    shortest_distance: int | None = field(default=None, compare=False)
 
 
 def build_regex(inst: SanitizationInstance) -> SanRegex:
@@ -224,15 +232,36 @@ class _Matcher:
         # A band [lo, hi] feeds the next column only from lo - behind to hi + ahead.
         jumps = [dst - src for src, dst, _lab in auto.cons] + [dst - src for src, dst in auto.eps]
         self.ahead, self.behind = max(jumps, default=0), max(0, -min(jumps, default=0))
+        # minrem[s]: the fewest letters a path from s to accept emits, by a
+        # backward 0-1 BFS (a consuming edge emits one letter, an epsilon none).
+        self.minrem = minrem = [INF] * n
+        minrem[auto.accept] = 0
+        queue = deque([auto.accept])
+        while queue:
+            x = queue.popleft()
+            for s, _lab in self.cons_in[x]:
+                if minrem[x] + 1 < minrem[s]:
+                    minrem[s] = minrem[x] + 1
+                    queue.append(s)
+            for s, w, _lab in self.col_in[x]:  # the epsilon edges, among others
+                if w == 0 and minrem[x] < minrem[s]:
+                    minrem[s] = minrem[x]
+                    queue.appendleft(s)
 
-    def _column(self, prev: list[int], cur: list[int], oc: int, x: int, limit: int, bound: int) -> tuple[int, int, int]:
+    def _column(
+        self, prev: list[int], cur: list[int], oc: int, x: int, limit: int, bound: int, rem: int
+    ) -> tuple[int, int, int]:
         """Fill `cur` from `prev` for letter code `oc`, sweeping states from `x` in order.
 
-        The sweep ends past `limit`, which grows with each state valued at most
-        `bound`.  Returns the first and last such state (-1 when there is none)
-        and the end of the filled range.
+        `rem` letters are left to read after this column.  State s is kept when
+        its value plus h = max(0, minrem[s] - rem) is at most `bound`; h is
+        consistent, so every cell on an alignment within the bound, and every
+        tied parent of one, is kept.  The sweep ends past `limit`, which grows
+        with each kept state.  Returns the first and last kept state (-1 when
+        there is none) and the end of the filled range.
         """
-        cons_in, col_in, ahead, last = self.cons_in, self.col_in, self.ahead, len(cur) - 1
+        cons_in, col_in, minrem, ahead, last = self.cons_in, self.col_in, self.minrem, self.ahead, len(cur) - 1
+        cap = bound + rem
         lo = hi = -1
         while x <= limit:
             v = cur[x]
@@ -248,7 +277,7 @@ class _Matcher:
                 if u < v:
                     v = u
             cur[x] = v
-            if v <= bound:
+            if v <= bound and v + minrem[x] <= cap:
                 if lo < 0:
                     lo = x
                 hi = x
@@ -257,16 +286,18 @@ class _Matcher:
             x += 1
         return lo, hi, x
 
-    def _sweep(self, band: tuple[int, list[int]], codes: list[int], bound: int):
-        """The band after `band` for each letter code in turn; stops at a band with no state."""
+    def _sweep(self, band: tuple[int, list[int]], codes: list[int], bound: int, rem: int):
+        """The band after `band` (`rem` letters left to read) for each letter code in turn; stops at an empty band."""
         lo, vals = band
         prev, cur = [INF] * self.auto.n_states, [INF] * self.auto.n_states
         prev[lo : lo + len(vals)] = vals
         filled, stale = (lo, lo + len(vals)), (0, 0)
         for oc in codes:
+            rem -= 1
             cur[stale[0] : stale[1]] = [INF] * (stale[1] - stale[0])
             start = max(0, lo - self.behind)
-            lo, hi, end = self._column(prev, cur, oc, start, min(len(cur) - 1, lo + len(vals) - 1 + self.ahead), bound)
+            limit = min(len(cur) - 1, lo + len(vals) - 1 + self.ahead)
+            lo, hi, end = self._column(prev, cur, oc, start, limit, bound, rem)
             if lo < 0:
                 return
             vals = cur[lo : hi + 1]
@@ -276,17 +307,18 @@ class _Matcher:
 
     def match(self, text: str, bound: int) -> MatchResult:
         """Closest member to `text`, with the cut-off starting at `bound` and
-        doubling until the accept state falls within it."""
+        doubling until the accept state falls within it.  At `bound` = INF no
+        cell is dropped."""
         n = len(text)
         codes = [ord(ch) for ch in text]
         stride = 1 if (n + 1) * self.auto.n_states <= _FULL_TRACE_CELLS else _CHECKPOINT_STRIDE
         while True:
             first = [INF] * self.auto.n_states
             first[0] = 0
-            lo, hi, _end = self._column([INF] * self.auto.n_states, first, ANY, 0, 0, bound)  # nothing read yet
+            lo, hi, _end = self._column([INF] * self.auto.n_states, first, ANY, 0, 0, bound, n)  # nothing read yet
             bands = {0: (lo, first[lo : hi + 1])}
             j, band = 0, bands[0]
-            for j, band in enumerate(self._sweep(band, codes, bound), start=1):
+            for j, band in enumerate(self._sweep(band, codes, bound, n), start=1):
                 if j % stride == 0 or j == n:
                     bands[j] = band
             distance = _value(band, self.auto.accept) if j == n else INF
@@ -300,7 +332,7 @@ class _Matcher:
             if j not in bands and j not in window:  # recompute the columns after a checkpoint
                 c = j - j % stride
                 window.clear()
-                window.update(enumerate(self._sweep(bands[c], codes[c : c + stride - 1], bound), start=c + 1))
+                window.update(enumerate(self._sweep(bands[c], codes[c : c + stride - 1], bound, n - c), start=c + 1))
             return bands[j] if j in bands else window[j]
 
         trace: list[tuple[str, str]] = []
@@ -334,7 +366,8 @@ class _Matcher:
 def approx_regex_match(text: str, regex: SanRegex) -> MatchResult:
     """Closest string in the language of `regex` to `text`, with a witness."""
     matcher = _Matcher(_Automaton(regex), regex.letters)
-    return matcher.match(text, edit_distance(text, regex.shortest_member()))
+    bound = edit_distance(text, regex.shortest_member())
+    return replace(matcher.match(text, bound), shortest_distance=bound)
 
 
 def etfs_sanitize(inst: SanitizationInstance) -> MatchResult:

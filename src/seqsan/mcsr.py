@@ -283,18 +283,19 @@ def z_score(text: str, pattern: str) -> float:
     return (freq - expected) / max(math.sqrt(expected), 1.0)
 
 
-def implausible_set(text: str, k: int, rho: float) -> ImplausibleSet:
+def implausible_set(text: str, k: int, rho: float, *, counts: Counter[str] | None = None) -> ImplausibleSet:
     """All length-k patterns scoring below rho against `text`.
 
     Only patterns whose two length-(k-1) parts both occur in `text` can score
     negatively, so enumeration composes observed parts instead of walking the
-    full alphabet power.
+    full alphabet power.  `counts`, if given, must equal `kmer_counts(text, k)`;
+    it is not modified.
     """
     if k <= 2:
         raise BadK(f"implausibility needs k > 2, got {k}")
     if rho >= 0:
         raise ValueError(f"rho must be negative, got {rho}")
-    counts_k = kmer_counts(text, k)
+    counts_k = kmer_counts(text, k) if counts is None else counts
     counts_km1 = kmer_counts(text, k - 1)
     counts_km2 = kmer_counts(text, k - 2)
 

@@ -345,14 +345,22 @@ def edit_distance(a: str, b: str) -> int:
         t = 2 * t + 1
 
 
-def edre(source: str, heuristic_output: str, optimal_output: str, *, optimal_distance: int | None = None) -> float:
+def edre(
+    source: str,
+    heuristic_output: str,
+    optimal_output: str,
+    *,
+    optimal_distance: int | None = None,
+    heuristic_distance: int | None = None,
+) -> float:
     """Relative excess of the heuristic's edit distance over the optimum.
 
     `optimal_distance`, if given, must be `edit_distance(source, optimal_output)`,
-    as the closest-output construction reports it.
+    and `heuristic_distance`, if given, `edit_distance(source, heuristic_output)`,
+    as the closest-output construction reports them.
     """
     d_opt = edit_distance(source, optimal_output) if optimal_distance is None else optimal_distance
-    d_heu = edit_distance(source, heuristic_output)
+    d_heu = edit_distance(source, heuristic_output) if heuristic_distance is None else heuristic_distance
     if d_opt == 0:
         if d_heu == 0:
             return 0.0

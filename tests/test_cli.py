@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from seqsan import cli, core
+from seqsan import cli, core, metrics
 from seqsan.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, main
 
 
@@ -294,18 +294,17 @@ def test_verify_level_subset(example1_files, capsys):
     assert capsys.readouterr().out.split() == ["P4:", "pass", "C1:", "pass"]
 
 
-def _count_calls(monkeypatch):
-    """Record (text, k) for every `kmer_counts` call, wherever a `seqsan` module refers to it."""
+def _count_calls(monkeypatch, original=core.kmer_counts):
+    """Record the arguments of every call of `original`, wherever a `seqsan` module refers to it."""
     calls = []
-    original = core.kmer_counts
 
-    def counting(text, k):
-        calls.append((text, k))
-        return original(text, k)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, mod in list(sys.modules.items()):
-        if (name == "seqsan" or name.startswith("seqsan.")) and getattr(mod, "kmer_counts", None) is original:
-            monkeypatch.setattr(mod, "kmer_counts", counting)
+        if (name == "seqsan" or name.startswith("seqsan.")) and getattr(mod, original.__name__, None) is original:
+            monkeypatch.setattr(mod, original.__name__, counting)
     return calls
 
 
@@ -318,6 +317,28 @@ def test_source_is_counted_once(example1_files, monkeypatch, pipeline):
     assert main(argv) == EXIT_OK
     # The counts of the TFS or PFS output and of the MCSR output derive from the source's.
     assert calls == [("aabaaacbcbbbaabbacaab", 4)]
+
+
+@pytest.mark.parametrize("pipeline", ["tmi", "tpm"])
+def test_implausible_set_reuses_the_source_counts(example1_files, monkeypatch, pipeline):
+    w, p, tmp = example1_files
+    calls = _count_calls(monkeypatch)
+    argv = ["sanitize", "--pipeline", pipeline, "--k", "4", "--tau", "1", "--rho", "-3", "--in", w, "--patterns", p,
+            "--out", str(tmp / "z.txt"), "--report", str(tmp / "rep.txt")]
+    assert main(argv) == EXIT_OK
+    text = "aabaaacbcbbbaabbacaab"
+    assert calls == [(text, 4), (text, 3), (text, 2)]
+
+
+def test_etfs_measures_the_tfs_output_once(example1_files, monkeypatch):
+    w, p, tmp = example1_files
+    calls = _count_calls(monkeypatch, metrics.edit_distance)
+    argv = ["sanitize", "--pipeline", "etfs", "--k", "4", "--in", w, "--patterns", p,
+            "--out", str(tmp / "z.txt"), "--report", str(tmp / "rep.txt")]
+    assert main(argv) == EXIT_OK
+    # The cut-off's starting bound is the distance edre needs for the TFS output.
+    assert calls == [("aabaaacbcbbbaabbacaab", "aabaa#aaacbcbbba#baabbacaab")]
+    assert "edre=" in (tmp / "rep.txt").read_text()
 
 
 @pytest.mark.parametrize("pipeline", ["tpm", "tm", "tmi", "etfs", "ba"])

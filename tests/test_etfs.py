@@ -117,7 +117,7 @@ class TestApproxRegexMatch:
             for j, oc in enumerate([ANY] + [ord(ch) for ch in inst.text]):  # column 0 reads no letter
                 if j:
                     prev, cur = cur, [INF] * auto.n_states
-                matcher._column(prev, cur, oc, 0, 0, INF)
+                matcher._column(prev, cur, oc, 0, 0, INF, len(inst.text) - j)
                 assert all(cur[src] >= cur[dst] for src, dst in auto.eps)
                 assert all(cur[src] + 1 >= cur[dst] for src, dst, _lab in auto.cons)
 
@@ -139,6 +139,75 @@ class TestApproxRegexMatch:
                 etfs_mod._FULL_TRACE_CELLS = saved
             assert doubled == unbounded
             assert etfs_sanitize(inst) == unbounded
+
+
+class TestLowerBound:
+    def test_minrem_is_the_fewest_letters_left_to_emit(self):
+        rng = random.Random(24)
+        for case in range(300):
+            inst = random_instance(rng, n_min=2, n_max=40, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6))
+            regex = fallback_regex(inst.alphabet, inst.k) if case % 5 == 0 else _regex(inst)
+            auto = _Automaton(regex)
+            minrem = _Matcher(auto, regex.letters).minrem
+            assert minrem[auto.accept] == 0
+            assert minrem[0] == len(regex.shortest_member())
+            # Consistent: no edge lowers it by more than the letters the edge emits.
+            assert all(minrem[src] <= minrem[dst] + 1 for src, dst, _lab in auto.cons)
+            assert all(minrem[src] <= minrem[dst] for src, dst in auto.eps)
+            # Tight: every other state has an out-edge that attains it.
+            best = [INF] * auto.n_states
+            for src, dst, _lab in auto.cons:
+                best[src] = min(best[src], minrem[dst] + 1)
+            for src, dst in auto.eps:
+                best[src] = min(best[src], minrem[dst])
+            assert all(minrem[s] == best[s] for s in range(auto.n_states) if s != auto.accept)
+
+    def test_one_pass_at_the_optimum_keeps_just_the_cells_within_it(self, monkeypatch):
+        # A cell whose value plus its lower bound h equals the bound is kept, so a
+        # pass at the optimum needs no doubling; each band starts and ends at a kept cell.
+        rng = random.Random(26)
+        for _ in range(300):
+            rate = rng.choice((0.05, 0.35, 0.7))
+            inst = random_instance(rng, 2, 30, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6), sensitive_rate=rate)
+            regex = _regex(inst)
+            matcher = _Matcher(_Automaton(regex), regex.letters)
+            reference = matcher.match(inst.text, INF)
+            n, sweep, passes = inst.n, matcher._sweep, []
+
+            def recording(band, codes, bound, rem):
+                passes.append(bound)
+                for j, (lo, vals) in enumerate(sweep(band, codes, bound, rem), start=n - rem + 1):
+                    for x, v in ((lo, vals[0]), (lo + len(vals) - 1, vals[-1])):
+                        assert v + max(0, matcher.minrem[x] - (n - j)) <= bound
+                    yield lo, vals
+
+            monkeypatch.setattr(matcher, "_sweep", recording)
+            assert matcher.match(inst.text, reference.distance) == reference
+            assert passes == [reference.distance]
+
+    def test_pruned_engine_agrees_with_the_unpruned_one(self, monkeypatch):
+        # match(text, INF) keeps every cell; etfs_sanitize starts at the TFS
+        # output's distance and drops the cells the lower bound rules out.
+        import seqsan.etfs as etfs_mod
+
+        rng = random.Random(25)
+        full_trace_cells = etfs_mod._FULL_TRACE_CELLS
+        seen = {"k=1": 0, "dense": 0, "sparse": 0, "fallback": 0, "checkpointed": 0}
+        for case in range(2000):
+            rate = rng.choice((0.02, 0.1, 0.35, 0.6, 0.9))
+            n_min, n_max = (65, 90) if case % 50 == 0 else (2, 30)  # past one checkpoint stride now and then
+            inst = random_instance(rng, n_min, n_max, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6), sensitive_rate=rate)
+            regex = _regex(inst)
+            reference = _Matcher(_Automaton(regex), regex.letters).match(inst.text, INF)
+            checkpointed = case % 4 == 0
+            monkeypatch.setattr(etfs_mod, "_FULL_TRACE_CELLS", 0 if checkpointed else full_trace_cells)
+            assert etfs_sanitize(inst) == reference, (inst.text, inst.k, inst.sensitive_patterns)
+            seen["k=1"] += inst.k == 1
+            seen["dense"] += rate >= 0.6
+            seen["sparse"] += rate <= 0.1
+            seen["fallback"] += not inst.nonsensitive_positions
+            seen["checkpointed"] += checkpointed and inst.n > 64
+        assert min(seen.values()) >= 10, seen
 
 
 class TestEtfsSanitize:

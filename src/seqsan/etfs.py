@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .core import SEPARATOR, Alphabet, SanitizationInstance
 from .errors import NoNonSensitive
@@ -217,9 +218,8 @@ class _Matcher:
         self.col_in: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (src, cost, label)
         for src, dst, lab in auto.cons:
             self.cons_in[dst].append((src, lab))
-        in_edges = [(src, 0, dst, -1, ANY) for src, dst in auto.eps]
-        in_edges += [(src, 1, dst, e, lab) for e, (src, dst, lab) in enumerate(auto.cons)]
-        for src, w, dst, _e, lab in sorted(in_edges):
+        in_edges = [(src, dst, 0, ANY) for src, dst in auto.eps] + [(src, dst, 1, lab) for src, dst, lab in auto.cons]
+        for src, dst, w, lab in sorted(in_edges, key=itemgetter(0)):  # stable: least (cost, edge) first
             # The only backward edge is the '#' closing a filler loop p -> h.  A
             # value at p comes through h or from the previous column at a loop
             # state, where p is epsilon-reachable and so no worse; consuming the
@@ -227,7 +227,7 @@ class _Matcher:
             # So the back-edge never lowers h, and one sweep in state order
             # reaches the fixpoint.  A later edge from the same source costs no
             # less, so it never wins either.
-            if src < dst and all(s != src for s, _w, _lab in self.col_in[dst]):
+            if src < dst and not (self.col_in[dst] and self.col_in[dst][-1][0] == src):
                 self.col_in[dst].append((src, w, lab))
         # A band [lo, hi] feeds the next column only from lo - behind to hi + ahead.
         jumps = [dst - src for src, dst, _lab in auto.cons] + [dst - src for src, dst in auto.eps]

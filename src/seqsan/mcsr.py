@@ -8,8 +8,9 @@ multiple-choice knapsack: one choice per separator, minimum total cost,
 total weight at most theta.  Choices that would recreate a sensitive pattern
 are discarded outright, as are choices that would complete a statistically
 implausible window when an implausible set is supplied.  Each separator's
-choices are enumerated once, by `separator_sites`; the ghost estimate and
-every knapsack build read that table.
+choices are enumerated once, by `separator_sites`, which checks admissibility
+on the way (an infeasible input fails before any ghost is estimated); the ghost
+estimate and the knapsack, built once for all rounds, read that table.
 
 The input's k-mers are counted at most once: a caller that knows them, such
 as the pipelines whose input is a TFS or PFS output, hands them in.  A
@@ -26,10 +27,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable
 
-from .core import SEPARATOR, SanitizationInstance, _occurrences, _windows, kmer_counts
+from .core import SEPARATOR, SanitizationInstance, _occurrences, kmer_counts
 from .errors import BadK, Infeasible
 
 EPSILON = ""  # deletion pseudo-letter
+_NO_CHOICE = "no admissible choice for separator {}; Z cannot be constructed"
+MAX_TABLE_CELLS = 4_000_000  # knapsack table cells; 4M of 11 choices took 8 s and 300 MB (Python 3.11, 2-vCPU VM)
 
 
 @dataclass(frozen=True)
@@ -124,20 +127,32 @@ def _context(text: str, pos: int, k: int) -> tuple[str, str]:
 Site = tuple[int, list[tuple[str, tuple[str, ...]]]]
 
 
-def separator_sites(text: str, k: int, letters: str) -> list[Site]:
+def _weigh(cm: CostModel, sensitive, implausible: ImplausibleSet | None, i: int, choice: str, windows) -> float | None:
+    """The knapsack weight of `choice` at separator i, or None if the choice is out."""
+    unsafe = not sensitive.isdisjoint(windows) or (implausible is not None and any(w in implausible for w in windows))
+    weight = None if unsafe else cm.sub(i, choice)
+    return None if weight is None or weight > cm.theta else weight
+
+
+def separator_sites(text: str, k: int, letters: str, weigh: Callable[..., float | None] | None = None) -> list[Site]:
     """Every separator's choices and the windows each would expose, enumerated once.
 
     One entry per separator, left to right: the start in `text` of its context,
     and a (choice, windows) pair per letter in order, then EPSILON.  The windows
     are those of `context_string`, so window t starts at source position start + t.
+    `weigh(i, choice, windows)`, if given, returns a choice's knapsack weight or
+    None if it is out; the first separator with no choice left raises Infeasible.
     """
     choices = list(letters) + [EPSILON]
+    intern = sys.intern  # the table holds every window of every choice at once: interning keeps it small
     sites: list[Site] = []
     pos = -1
     while (pos := text.find(SEPARATOR, pos + 1)) != -1:
         left, right = _context(text, pos, k)
-        # The table holds every window of every choice at once: tuples of interned strings keep it small.
-        options = [(c, tuple(map(sys.intern, _windows(left + c + right, k)))) for c in choices]
+        ctxs = [(c, left + c + right) for c in choices]
+        options = [(c, tuple([intern(ctx[t : t + k]) for t in range(len(ctx) - k + 1)])) for c, ctx in ctxs]
+        if weigh is not None and all(weigh(len(sites) + 1, c, windows) is None for c, windows in options):
+            raise Infeasible(_NO_CHOICE.format(len(sites) + 1))
         sites.append((pos - len(left), options))
     return sites
 
@@ -152,6 +167,9 @@ def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> Ghost
     """
     gains: Counter[str] = Counter()
     for _start, options in sites:
+        if all(len(set(windows)) == len(windows) for _choice, windows in options):
+            gains.update(set().union(*(windows for _choice, windows in options)))  # every gain is 1
+            continue
         best: dict[str, int] = {}  # per window, its largest count over the choices
         for _choice, windows in options:
             for win in windows:
@@ -159,12 +177,7 @@ def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> Ghost
                 if cnt > best.get(win, 0):
                     best[win] = cnt
         gains.update(best)
-    entries = {}
-    for pat, gain in gains.items():
-        freq_in = counts.get(pat, 0)
-        top = freq_in + gain
-        if freq_in < tau <= top:
-            entries[pat] = (freq_in, top)
+    entries = {pat: (low, low + gain) for pat, gain in gains.items() if (low := counts.get(pat, 0)) < tau <= low + gain}
     return GhostCandidateSet(entries=entries, tau=tau)
 
 
@@ -176,27 +189,23 @@ def build_mck(
     implausible: ImplausibleSet | None = None,
     banned: set[tuple[int, str]] | None = None,
 ) -> MckInstance:
-    """One knapsack class per separator of `sites`; elements are the surviving choices."""
+    """One knapsack class per separator of `sites`; elements are the surviving choices, with their ghost costs."""
     if cm.theta is None:
         raise ValueError("capacity must be resolved before building the knapsack")
     classes: list[tuple[MckElement, ...]] = []
-    entries = cands.entries
-    for i, (ctx_start, options) in enumerate(sites, start=1):
+    cand, ghost = cands.entries.keys(), cm.ghost
+    for i, (start, options) in enumerate(sites, start=1):
         elements: list[MckElement] = []
         for choice, windows in options:
             if banned and (i, choice) in banned:
                 continue
-            if not sensitive.isdisjoint(windows):
+            weight = _weigh(cm, sensitive, implausible, i, choice, windows)
+            if weight is None:
                 continue
-            if implausible is not None and any(w in implausible for w in windows):
-                continue
-            weight = cm.sub(i, choice)
-            if weight is None or weight > cm.theta:
-                continue
-            cost = sum(cm.ghost(ctx_start + t, w) for t, w in enumerate(windows) if w in entries)
-            elements.append(MckElement(choice=choice, cost=cost, weight=weight))
+            cost = 0 if cand.isdisjoint(windows) else sum([ghost(start + t, w) for t, w in enumerate(windows) if w in cand])
+            elements.append(MckElement(choice, cost, weight))
         if not elements:
-            raise Infeasible(f"no admissible choice for separator {i}; Z cannot be constructed")
+            raise Infeasible(_NO_CHOICE.format(i))
         classes.append(tuple(elements))
     return MckInstance(classes=tuple(classes), capacity=cm.theta)
 
@@ -206,9 +215,10 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
 
     Weights must be non-negative integers.  When the capacity cannot bind
     (every worst-case selection fits) each class is solved independently;
-    otherwise an exact table over residual capacities is used.  Equal-cost
-    ties rotate the preferred letter with the class index (deletion last), so
-    tied choices spread instead of piling occurrences onto one pattern.
+    otherwise an exact table over residual capacities is used, of at most
+    MAX_TABLE_CELLS cells (else ValueError).  Equal-cost ties rotate the
+    preferred letter with the class index (deletion last), so tied choices
+    spread instead of piling occurrences onto one pattern.
     """
     for cls in inst.classes:
         for el in cls:
@@ -230,6 +240,8 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
             min(enumerate(cls), key=preference(i, len(cls)))[1] for i, cls in enumerate(inst.classes)
         ]
 
+    if len(inst.classes) * (theta + 1) > MAX_TABLE_CELLS:
+        raise ValueError(f"{len(inst.classes)} knapsack classes at theta {theta} exceed {MAX_TABLE_CELLS} table cells")
     INF = float("inf")
     dp = [INF] * (theta + 1)
     dp[0] = 0.0
@@ -345,21 +357,20 @@ def mcsr_sanitize(
     k = inst.k
     if cm is None:
         cm = uniform_cost_model(tau=1)
+    if cm.theta is None:
+        cm = dc_replace(cm, theta=float(text.count(SEPARATOR)))
+    sites = separator_sites(text, k, inst.alphabet.chars, lambda *a: _weigh(cm, inst.sensitive_patterns, implausible, *a))
     if counts is None:
         counts = kmer_counts(text, k)
-    sites = separator_sites(text, k, inst.alphabet.chars)
     if not sites:
         return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=(), counts=counts)
-    if cm.theta is None:
-        cm = dc_replace(cm, theta=float(len(sites)))
 
     cands = candidate_ghosts(sites, counts, cm.tau)
-    banned: set[tuple[int, str]] = set()
+    mck = build_mck(sites, cands, cm, inst.sensitive_patterns, implausible)
     parts = text.split(SEPARATOR)
     max_rounds = len(sites) * (inst.alphabet.size + 1) + 1
 
     for _ in range(max_rounds):
-        mck = build_mck(sites, cands, cm, inst.sensitive_patterns, implausible, banned)
         selection = solve_mck(mck)
         choices = [el.choice for el in selection]
 
@@ -398,6 +409,10 @@ def mcsr_sanitize(
                 site_windows=tuple(site_windows),
                 counts=counts,
             )
-        banned.add(violation)
+        i, bad = violation
+        cls = tuple(el for el in mck.classes[i - 1] if el.choice != bad)
+        if not cls:
+            raise Infeasible(_NO_CHOICE.format(i))
+        mck = dc_replace(mck, classes=mck.classes[: i - 1] + (cls,) + mck.classes[i:])
 
     raise Infeasible("separator rewriting failed to converge; Z cannot be constructed")

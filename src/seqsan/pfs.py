@@ -11,13 +11,14 @@ edge per block from its prefix rank to its suffix rank, then decompose it
 into the minimum number of edge-disjoint trails.  Every trail spells a run of
 merged blocks; trails are joined with separators.
 
-Tie-breaking (start node, edge choice, trail order) is deterministic so that
-identical inputs give identical outputs.
+Tie-breaking (start node, edge choice, trail order) is deterministic; apart
+from sorting, the decomposition is linear in the blocks (Hierholzer 1873).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
+from heapq import heappop, heappush
 from dataclasses import dataclass
 
 from .core import SEPARATOR, SanitizationInstance
@@ -69,69 +70,74 @@ def fo_ssm(pairs: list[RankPair]) -> list[list[int]]:
     if not pairs:
         return []
 
-    out_edges: dict[int, deque[tuple[int, int]]] = defaultdict(deque)
-    out_deg: dict[int, int] = defaultdict(int)
-    in_deg: dict[int, int] = defaultdict(int)
-    for pr in sorted(pairs, key=lambda p: (p.prefix_rank, p.suffix_rank, p.block_id)):
+    out_edges: dict[int, deque[tuple[int, int]]] = defaultdict(deque)  # unused edges, smallest first
+    for pr in pairs:
         out_edges[pr.prefix_rank].append((pr.suffix_rank, pr.block_id))
-        out_deg[pr.prefix_rank] += 1
-        in_deg[pr.suffix_rank] += 1
-    nodes = sorted(set(out_deg) | set(in_deg))
+    out_edges.update({v: deque(sorted(edges)) for v, edges in out_edges.items()})
+    surplus = Counter([pr.prefix_rank for pr in pairs])  # out- minus in-degree
+    surplus.subtract([pr.suffix_rank for pr in pairs])
+    nodes = sorted(surplus)
 
     def walk(start: int) -> tuple[list[int], list[int]]:
         """Consume edges greedily from `start` until stuck; smallest edge first."""
-        node_seq = [start]
-        bid_seq: list[int] = []
-        cur = start
-        while out_deg[cur]:
-            nxt, bid = out_edges[cur].popleft()
-            out_deg[cur] -= 1
-            in_deg[nxt] -= 1
+        node_seq, bid_seq, edges = [start], [], out_edges[start]
+        while edges:
+            nxt, bid = edges.popleft()
             bid_seq.append(bid)
             node_seq.append(nxt)
-            cur = nxt
+            edges = out_edges[nxt]
         return node_seq, bid_seq
 
-    trails: list[tuple[list[int], list[int]]] = []
-    on_trails: set[int] = set()
+    trails: list[list[int]] = []  # block ids along each trail's own walk
+    first: dict[int, tuple[int, ...]] = {}  # node -> its first visit on the first trail through it
 
     def add_trail(t_nodes: list[int], t_bids: list[int]) -> None:
-        trails.append((t_nodes, t_bids))
-        on_trails.update(t_nodes)
+        for i, v in enumerate(t_nodes):
+            if v not in first:
+                first[v] = (len(trails), i)
+        trails.append(t_bids)
 
-    # Unbalanced nodes each seed a trail; this pins the decomposition size.
-    while True:
-        start = next((v for v in nodes if out_deg[v] > in_deg[v]), None)
-        if start is None:
-            break
-        add_trail(*walk(start))
+    # Unbalanced nodes seed the trails, which pins the decomposition size.  A
+    # walk ends only at a node with no out-edges left, so it lifts no node's
+    # surplus above zero: each node, in rank order, seeds its surplus of trails.
+    for v in nodes:
+        for _ in range(surplus[v]):
+            add_trail(*walk(v))
 
     # What remains is a union of cycles.  Prefer cycles through a node some
     # trail already visits, so they splice in instead of opening new trails;
     # only a component disjoint from everything built so far starts one.
-    while True:
-        start = next((v for v in nodes if out_deg[v] > 0 and v in on_trails), None)
-        if start is None:
-            start = next((v for v in nodes if out_deg[v] > 0), None)
-        if start is None:
-            break
+    # Spliced trails become linked lists of visits, labelled (t, i) on trail
+    # t's own walk and x + (-c, j) for the j-th visit of a cycle spliced in
+    # after visit x, c the links made so far: labels sort in trail order.
+    after: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    heap = sorted((v not in first, v) for v in nodes)  # a sorted list is a heap; on-trail nodes first
+    while heap:
+        start = heappop(heap)[1]
+        if not out_edges[start]:
+            continue
         cyc_nodes, cyc_bids = walk(start)
-        cyc_set = set(cyc_nodes)
-        spliced = False
-        for t_nodes, t_bids in trails:
-            hit = next((i for i, v in enumerate(t_nodes) if v in cyc_set), None)
-            if hit is None:
-                continue
-            at = cyc_nodes.index(t_nodes[hit])
-            rot_nodes = cyc_nodes[at:-1] + cyc_nodes[: at + 1]
-            rot_bids = cyc_bids[at:] + cyc_bids[:at]
-            t_nodes[hit : hit + 1] = rot_nodes
-            t_bids[hit:hit] = rot_bids
-            on_trails.update(cyc_nodes)
-            spliced = True
-            break
-        if not spliced:
+        for v in cyc_nodes:
+            heappush(heap, (False, v))
+        u = min((v for v in cyc_nodes if v in first), key=first.__getitem__, default=None)
+        if u is None:
             add_trail(cyc_nodes, cyc_bids)
+            continue
+        at = cyc_nodes.index(u)
+        rot_nodes = cyc_nodes[at:-1] + cyc_nodes[: at + 1]
+        rot_bids = cyc_bids[at:] + cyc_bids[:at]
+        hit = first[u]
+        if (hit[0], 0) not in after:
+            after.update(((hit[0], i), (bid, (hit[0], i + 1))) for i, bid in enumerate(trails[hit[0]]))
+        visits = [hit] + [hit + (-len(after), j) for j in range(1, len(rot_nodes))]
+        after[visits[-1]] = after[hit]  # a walk ends at a node with no edges left, or at its start
+        after.update(zip(visits, zip(rot_bids, visits[1:])))
+        first.update(zip(reversed(rot_nodes), reversed(visits)))  # each node's first visit wins
+    for t in {visit[0] for visit in after}:
+        trails[t], edge = [], after.get((t, 0))
+        while edge is not None:
+            trails[t].append(edge[0])
+            edge = after.get(edge[1])
 
     # Order trails round-robin over their start ranks.  Any order is valid and
     # equally short; interleaving keeps equal junction contexts from clustering,
@@ -139,14 +145,13 @@ def fo_ssm(pairs: list[RankPair]) -> list[list[int]]:
     # onto a handful of patterns.
     by_id = {p.block_id: p for p in pairs}
     groups: dict[int, deque[list[int]]] = defaultdict(deque)
-    for bids in sorted((bids for _, bids in trails), key=min):
+    for bids in sorted(trails, key=min):
         groups[by_id[bids[0]].prefix_rank].append(bids)
     ranks = sorted(groups)
     ordering: list[list[int]] = []
-    while any(groups[r] for r in ranks):
-        for r in ranks:
-            if groups[r]:
-                ordering.append(groups[r].popleft())
+    while ranks:
+        ordering.extend(groups[r].popleft() for r in ranks)
+        ranks = [r for r in ranks if groups[r]]
     return ordering
 
 

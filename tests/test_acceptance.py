@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  Seeds are fixed; everything here is deterministic.
 """
 
+import gc
 import random
 import time
 from collections import Counter
@@ -261,6 +262,9 @@ def test_criterion_6_scaling():
         text = "".join(rng.choices(LETTERS[:10], k=n))
         pats = sorted({text[p : p + 5] for p in rng.sample(range(n - 5), 1000)})
         inst = build_instance(text, 5, patterns=pats)
+        # Start from a collected heap, so that no full collection of the rest of
+        # the suite's objects lands inside one size's timing of about 0.1 s.
+        gc.collect()
         start = time.perf_counter()
         x = tfs_sanitize(inst)
         y = pfs_sanitize(inst)

@@ -121,6 +121,22 @@ class TestApproxRegexMatch:
                 assert all(cur[src] >= cur[dst] for src, dst in auto.eps)
                 assert all(cur[src] + 1 >= cur[dst] for src, dst, _lab in auto.cons)
 
+    def test_in_column_edges_match_the_sorted_build(self):
+        # The reference: sort every edge as (src, cost, dst, edge index, label)
+        # and keep, per (dst, src) with src < dst, the first one.
+        rng = random.Random(26)
+        for case in range(300):
+            inst = random_instance(rng, n_min=2, n_max=40, ks=(1, 2, 3, 4, 5))
+            regex = fallback_regex(inst.alphabet, inst.k) if case % 5 == 0 else _regex(inst)
+            auto = _Automaton(regex)
+            want = [[] for _ in range(auto.n_states)]
+            in_edges = [(src, 0, dst, -1, ANY) for src, dst in auto.eps]
+            in_edges += [(src, 1, dst, e, lab) for e, (src, dst, lab) in enumerate(auto.cons)]
+            for src, w, dst, _e, lab in sorted(in_edges):
+                if src < dst and all(s != src for s, _w, _lab in want[dst]):
+                    want[dst].append((src, w, lab))
+            assert _Matcher(auto, regex.letters).col_in == want, (inst.text, inst.k)
+
     def test_cut_off_does_not_change_the_result(self):
         import seqsan.etfs as etfs_mod
 

@@ -1,9 +1,12 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import seqsan.mcsr as mcsr_mod
 from seqsan import (
     BadK,
     CostModel,
@@ -231,6 +234,133 @@ class TestResultCounts:
         assert "counts" not in repr(res)
 
 
+def _parent_mcsr(text, inst, cm, implausible):
+    """The construction before admissibility was checked in the table walk, as the reference.
+
+    Ghost candidates come from the all-keys definition; every round rebuilds
+    every knapsack class from the windows of `context_string`, skipping the
+    banned choices, and costs every admissible choice.  Returns the
+    `McsrResult` fields in order, counts last.
+    """
+    k, letters = inst.k, inst.alphabet.chars
+    counts = kmer_counts(text, k)
+    seps = _separators_and_left_contexts(text, k)
+    if not seps:
+        return text, (), 0.0, 0.0, (), counts
+    if cm.theta is None:
+        cm = replace(cm, theta=float(len(seps)))
+    sites = []
+    for i, (pos, left) in enumerate(seps, start=1):
+        options = []
+        for choice in list(letters) + [""]:
+            ctx = context_string(text, i, choice, k)
+            options.append((choice, [ctx[t : t + k] for t in range(len(ctx) - k + 1)]))
+        sites.append((pos - len(left), options))
+    cands = _ghost_definition(text, k, cm.tau, letters)
+    unsafe = set(inst.sensitive_patterns) | (implausible.patterns if implausible is not None else set())
+    parts = text.split("#")
+    banned = set()
+    for _ in range(len(sites) * (len(letters) + 1) + 1):
+        classes = []
+        for i, (start, options) in enumerate(sites, start=1):
+            elements = []
+            for choice, windows in options:
+                if (i, choice) in banned or unsafe.intersection(windows):
+                    continue
+                weight = cm.sub(i, choice)
+                if weight is None or weight > cm.theta:
+                    continue
+                cost = sum(cm.ghost(start + t, w) for t, w in enumerate(windows) if w in cands)
+                elements.append(MckElement(choice, cost, weight))
+            if not elements:
+                raise Infeasible(f"no admissible choice for separator {i}; Z cannot be constructed")
+            classes.append(tuple(elements))
+        selection = solve_mck(MckInstance(tuple(classes), cm.theta))
+        choices = [el.choice for el in selection]
+        z, junctions = parts[0], []
+        for choice, block in zip(choices, parts[1:]):
+            junctions.append(len(z))
+            z += choice + block
+        site_windows, starts, violation = [], set(), None
+        for idx, (choice, pos) in enumerate(zip(choices, junctions), start=1):
+            span = range(max(0, pos - k + 1), min(len(z) - k, pos if choice else pos - 1) + 1)
+            starts.update(span)
+            for s in span:
+                site_windows.append((idx, z[s : s + k]))
+                if z[s : s + k] in unsafe:
+                    violation = (idx, choice)
+            if violation:
+                break
+        if violation is None:
+            counts.update(z[s : s + k] for s in starts)
+            ghost_cost, weight = sum(el.cost for el in selection), sum(el.weight for el in selection)
+            return z, tuple(choices), ghost_cost, weight, tuple(site_windows), counts
+        banned.add(violation)
+    raise Infeasible("separator rewriting failed to converge; Z cannot be constructed")
+
+
+class TestAgainstTheParentConstruction:
+    def test_results_equal_the_reference(self, monkeypatch):
+        rounds = []
+        solve = mcsr_mod.solve_mck
+        monkeypatch.setattr(mcsr_mod, "solve_mck", lambda mck: rounds.append(mck) or solve(mck))
+        rng = random.Random(45)
+        seen = Counter()
+        for case in range(3_000):
+            inst = random_instance(rng, n_min=3, n_max=36, ks=(1, 2, 3, 4, 5))
+            k, letters = inst.k, inst.alphabet.chars
+            kind = case % 3
+            y = (tfs_sanitize(inst), pfs_sanitize(inst), _random_separated(rng, letters, 24))[kind]
+            tau = rng.randint(1, 4)
+            theta = float(rng.randint(y.count("#") // 2, 2 * y.count("#"))) if rng.random() < 0.4 else None
+            sub_kind = rng.randrange(3)
+            if sub_kind == 0:
+                sub = lambda i, c: 1
+            elif sub_kind == 1:  # forbids some choices outright
+                sub = lambda i, c: None if (i + ord(c or "z")) % 3 == 0 else 1 + (i + len(c)) % 2
+            else:
+                sub = lambda i, c: (7 * i + ord(c or "z")) % 4
+            cm = CostModel(ghost=lambda pos, pat: 1.0 + pos % 3 / 2, sub=sub, theta=theta, tau=tau)
+            implausible = None
+            if k > 2 and rng.random() < 0.6:
+                implausible = implausible_set(inst.text, k, rng.choice((-0.3, -0.5, -1.0)))
+            rounds.clear()
+            try:
+                want = _parent_mcsr(y, inst, cm, implausible)
+            except Infeasible as exc:
+                with pytest.raises(Infeasible) as got:
+                    mcsr_sanitize(y, inst, cm, implausible)
+                assert str(got.value) == str(exc), (y, k)
+                seen["infeasible"] += 1
+                continue
+            res = mcsr_sanitize(y, inst, cm, implausible)
+            got = (res.text, res.choices, res.ghost_cost, res.total_weight, res.site_windows, res.counts)
+            assert got == want, (y, k)
+            seps = len(res.choices)
+            seen["tau > 1"] += tau > 1 and seps > 0
+            seen["theta binds"] += any(sum(max(el.weight for el in c) for c in m.classes) > m.capacity for m in rounds)
+            seen["implausible"] += implausible is not None and bool(implausible.patterns) and seps > 0
+            seen["sub None"] += sub_kind == 1 and seps > 0
+            seen["sites closer than k"] += any(0 < len(b) < k for b in y.split("#")[1:-1])
+            seen["several rounds"] += len(rounds) > 1
+        assert min(seen.values()) > 50, seen
+
+    def test_infeasible_input_fails_before_any_ghost_is_estimated(self, monkeypatch):
+        def estimate(*args):
+            raise AssertionError("ghost candidates estimated")
+
+        monkeypatch.setattr(mcsr_mod, "candidate_ghosts", estimate)
+        inst = build_instance("abab", 2, patterns=["ba"])
+        with pytest.raises(Infeasible) as exc:
+            mcsr_sanitize("ab#ab", inst, uniform_cost_model(tau=1))
+        assert str(exc.value) == "no admissible choice for separator 1; Z cannot be constructed"
+        # Separators 1 and 2 have choices; 3 has none within the automatic capacity (3).
+        cm = CostModel(ghost=lambda pos, pat: 1.0, sub=lambda i, c: 4 if i == 3 else 1, theta=None, tau=1)
+        with pytest.raises(Infeasible) as exc:
+            mcsr_sanitize("abc#bca#cab#abc", build_instance("abcabc", 3), cm)
+        assert str(exc.value) == "no admissible choice for separator 3; Z cannot be constructed"
+
+
 class TestBuildMck:
     def test_forbidden_letters_dropped(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
@@ -272,6 +402,20 @@ class TestSolveMck:
         classes = ((MckElement("a", 1, 0.5),),)
         with pytest.raises(ValueError):
             solve_mck(MckInstance(classes, capacity=4))
+
+    def test_table_guard_fires_before_the_table_is_built(self):
+        theta = mcsr_mod.MAX_TABLE_CELLS // 2
+        classes = ((MckElement("a", 0, theta), MckElement("b", 1, 0)),) * 2  # 2 (theta + 1) cells, capacity binds
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                solve_mck(MckInstance(classes, capacity=theta))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # one row of the table alone takes 8 (theta + 1) bytes, 16 MB
+        limit = mcsr_mod.MAX_TABLE_CELLS
+        assert str(exc.value) == f"2 knapsack classes at theta {theta} exceed {limit} table cells"
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(14)

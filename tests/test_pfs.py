@@ -1,4 +1,7 @@
+import gc
 import random
+import time
+from collections import Counter, defaultdict, deque
 
 import pytest
 
@@ -90,6 +93,135 @@ class TestFoSsm:
             merges = sum(len(t) - 1 for t in ordering)
             induced = sum(lengths) + (len(ordering) - 1) - merges * ell
             assert induced == oracle_fo_ssm(pairs, lengths, ell)
+
+
+def _rescanning_fo_ssm(pairs):
+    """The rescanning decomposition `fo_ssm` replaced, kept as the reference for its orderings.
+
+    Phase 1 rescans the nodes for the first unbalanced one before every walk;
+    phase 2 rescans them for the first on-trail node with edges left, and
+    every trail for the first position a cycle shares.
+    """
+    if not pairs:
+        return []
+    out_edges = defaultdict(deque)
+    out_deg = defaultdict(int)
+    in_deg = defaultdict(int)
+    for pr in sorted(pairs, key=lambda p: (p.prefix_rank, p.suffix_rank, p.block_id)):
+        out_edges[pr.prefix_rank].append((pr.suffix_rank, pr.block_id))
+        out_deg[pr.prefix_rank] += 1
+        in_deg[pr.suffix_rank] += 1
+    nodes = sorted(set(out_deg) | set(in_deg))
+
+    def walk(start):
+        node_seq, bid_seq, cur = [start], [], start
+        while out_deg[cur]:
+            nxt, bid = out_edges[cur].popleft()
+            out_deg[cur] -= 1
+            in_deg[nxt] -= 1
+            bid_seq.append(bid)
+            node_seq.append(nxt)
+            cur = nxt
+        return node_seq, bid_seq
+
+    trails, on_trails = [], set()
+
+    def add_trail(t_nodes, t_bids):
+        trails.append((t_nodes, t_bids))
+        on_trails.update(t_nodes)
+
+    while True:
+        start = next((v for v in nodes if out_deg[v] > in_deg[v]), None)
+        if start is None:
+            break
+        add_trail(*walk(start))
+    while True:
+        start = next((v for v in nodes if out_deg[v] > 0 and v in on_trails), None)
+        if start is None:
+            start = next((v for v in nodes if out_deg[v] > 0), None)
+        if start is None:
+            break
+        cyc_nodes, cyc_bids = walk(start)
+        cyc_set = set(cyc_nodes)
+        for t_nodes, t_bids in trails:
+            hit = next((i for i, v in enumerate(t_nodes) if v in cyc_set), None)
+            if hit is None:
+                continue
+            at = cyc_nodes.index(t_nodes[hit])
+            t_nodes[hit : hit + 1] = cyc_nodes[at:-1] + cyc_nodes[: at + 1]
+            t_bids[hit:hit] = cyc_bids[at:] + cyc_bids[:at]
+            on_trails.update(cyc_nodes)
+            break
+        else:
+            add_trail(cyc_nodes, cyc_bids)
+
+    by_id = {p.block_id: p for p in pairs}
+    groups = defaultdict(deque)
+    for bids in sorted((bids for _, bids in trails), key=min):
+        groups[by_id[bids[0]].prefix_rank].append(bids)
+    ranks = sorted(groups)
+    ordering = []
+    while any(groups[r] for r in ranks):
+        for r in ranks:
+            if groups[r]:
+                ordering.append(groups[r].popleft())
+    return ordering
+
+
+def _cycles_through_a_trail(length):
+    """A trail 1 -> 2 -> ... -> length + 1, and a two-edge cycle v -> x_v -> v off each of its nodes but the last."""
+    pairs = [RankPair(i, i + 1, i + 2) for i in range(length)]
+    for v in range(1, length + 1):
+        x = length + 1 + v
+        pairs += [RankPair(len(pairs), v, x), RankPair(len(pairs) + 1, x, v)]
+    return pairs
+
+
+class TestFoSsmAgainstRescanning:
+    def test_orderings_equal_the_rescanning_reference(self):
+        rng = random.Random(30)
+        seen = {"open": 0, "balanced": 0, "revisits": 0}
+        for case in range(24_000):
+            ranks = rng.randint(1, 8)
+            if case % 2:
+                # Unions of closed walks, some with an open one: most edges are left to phase 2.
+                edges = []
+                for _ in range(rng.randint(1, 6)):
+                    walk = [rng.randint(1, ranks) for _ in range(rng.randint(1, 6))]
+                    walk.append(walk[0] if rng.random() < 0.8 else rng.randint(1, ranks))
+                    edges += zip(walk, walk[1:])
+                edges = edges[:30]
+            else:
+                edges = [(rng.randint(1, ranks), rng.randint(1, ranks)) for _ in range(rng.randint(1, 30))]
+            pairs = [RankPair(i, a, b) for i, (a, b) in enumerate(edges)]
+            rng.shuffle(pairs)
+            want = _rescanning_fo_ssm(pairs)
+            assert fo_ssm(pairs) == want, pairs
+            balanced = Counter(p.prefix_rank for p in pairs) == Counter(p.suffix_rank for p in pairs)
+            seen["balanced" if balanced else "open"] += 1
+            by_id = {p.block_id: p for p in pairs}
+            for trail in want:
+                nodes = [by_id[trail[0]].prefix_rank] + [by_id[b].suffix_rank for b in trail]
+                if len(set(nodes)) < len(nodes) - 1:  # a node visited twice besides a closed trail's ends
+                    seen["revisits"] += 1
+                    break
+        assert min(seen.values()) > 1000, seen
+
+    def test_many_cycles_through_one_trail_scale_linearly(self):
+        def best_time(length):
+            pairs = _cycles_through_a_trail(length)
+            times = []
+            for _ in range(3):
+                gc.collect()  # no full collection of the suite's objects inside a timing
+                start = time.perf_counter()
+                ordering = fo_ssm(pairs)
+                times.append(time.perf_counter() - start)
+            assert len(ordering) == 1 and len(ordering[0]) == 3 * length
+            return min(times)
+
+        assert _rescanning_fo_ssm(_cycles_through_a_trail(200)) == fo_ssm(_cycles_through_a_trail(200))
+        small, large = best_time(2_500), best_time(20_000)
+        assert large <= 2.5**3 * small, (small, large)  # three doublings; the rescanning loop grows 4x per doubling
 
 
 class TestPfsSanitize:

@@ -18,17 +18,19 @@ value.  A column keeps a state only if its value plus a lower bound on the
 rest of the alignment is at most a bound D: with r letters left to read, a
 state from which the automaton must still emit m letters to accept costs at
 least max(0, m - r) more (A* with a consistent heuristic, which drops no cell
-of an alignment within D).  D starts at the distance to the TFS output (the
-language's shortest member), as in Ukkonen's cut-off, and doubles if the
-optimum lies above it.  Each column sweeps from its first kept state to its
-last.  The traceback re-derives parents from stored bands; for long inputs
-only every 64th band is kept and the columns between are recomputed window
-by window.
+of an alignment within D).  D is the distance to the TFS output (the
+language's shortest member), as in Ukkonen's cut-off, so it is never below
+the optimum.  Each column sweeps from its first kept state to its last and
+stores only its kept states and their values; the traceback re-derives each
+parent from those stored cells, since the consistent bound never lets a
+dropped cell tie with a kept one.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -38,8 +40,6 @@ from .errors import NoNonSensitive
 from .metrics import edit_distance
 
 ANY = -1  # consuming-edge label: any single alphabet letter
-_FULL_TRACE_CELLS = 4_000_000
-_CHECKPOINT_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -194,20 +194,22 @@ class _Automaton:
 INF = 1 << 60  # above every distance the DP can reach
 
 
-def _value(band: tuple[int, list[int]], x: int) -> int:
-    lo, vals = band
-    return vals[x - lo] if lo <= x < lo + len(vals) else INF
+def _value(column: tuple[array, array], x: int) -> int:
+    """State x's value in a stored column (kept states, their values); INF if x was not kept."""
+    states, vals = column
+    i = bisect_left(states, x)
+    return vals[i] if i < len(states) and states[i] == x else INF
 
 
 class _Matcher:
-    """Edit-distance DP over (input position, automaton state), one band per column.
+    """Edit-distance DP over (input position, automaton state), pruned to a bound.
 
     A state's candidates come in one fixed order: delete the input letter,
     consume it on an edge into the state (edge order), then reach the state
     inside the column by an epsilon move (cost 0) or an inserted letter
     (cost 1) in (source, cost, edge) order.  Its parent is the first candidate
     with the least value, so the forward pass keeps values only and the
-    traceback re-derives each parent from the stored bands.
+    traceback re-derives each parent from the stored cells.
     """
 
     def __init__(self, auto: _Automaton, letters: str):
@@ -229,7 +231,7 @@ class _Matcher:
             # less, so it never wins either.
             if src < dst and not (self.col_in[dst] and self.col_in[dst][-1][0] == src):
                 self.col_in[dst].append((src, w, lab))
-        # A band [lo, hi] feeds the next column only from lo - behind to hi + ahead.
+        # Kept states lo..hi feed the next column only from lo - behind to hi + ahead.
         jumps = [dst - src for src, dst, _lab in auto.cons] + [dst - src for src, dst in auto.eps]
         self.ahead, self.behind = max(jumps, default=0), max(0, -min(jumps, default=0))
         # minrem[s]: the fewest letters a path from s to accept emits, by a
@@ -250,19 +252,20 @@ class _Matcher:
 
     def _column(
         self, prev: list[int], cur: list[int], oc: int, x: int, limit: int, bound: int, rem: int
-    ) -> tuple[int, int, int]:
+    ) -> tuple[array, array, int]:
         """Fill `cur` from `prev` for letter code `oc`, sweeping states from `x` in order.
 
         `rem` letters are left to read after this column.  State s is kept when
         its value plus h = max(0, minrem[s] - rem) is at most `bound`; h is
         consistent, so every cell on an alignment within the bound, and every
         tied parent of one, is kept.  The sweep ends past `limit`, which grows
-        with each kept state.  Returns the first and last kept state (-1 when
-        there is none) and the end of the filled range.
+        with each kept state.  Returns the kept states and their values, in
+        state order, and the end of the filled range.
         """
         cons_in, col_in, minrem, ahead, last = self.cons_in, self.col_in, self.minrem, self.ahead, len(cur) - 1
         cap = bound + rem
-        lo = hi = -1
+        states, vals = array("i"), array("i")
+        keep_state, keep_value = states.append, vals.append
         while x <= limit:
             v = cur[x]
             u = prev[x] + 1
@@ -278,71 +281,48 @@ class _Matcher:
                     v = u
             cur[x] = v
             if v <= bound and v + minrem[x] <= cap:
-                if lo < 0:
-                    lo = x
-                hi = x
+                keep_state(x)
+                keep_value(v)
                 if x + ahead > limit:
                     limit = min(x + ahead, last)
             x += 1
-        return lo, hi, x
-
-    def _sweep(self, band: tuple[int, list[int]], codes: list[int], bound: int, rem: int):
-        """The band after `band` (`rem` letters left to read) for each letter code in turn; stops at an empty band."""
-        lo, vals = band
-        prev, cur = [INF] * self.auto.n_states, [INF] * self.auto.n_states
-        prev[lo : lo + len(vals)] = vals
-        filled, stale = (lo, lo + len(vals)), (0, 0)
-        for oc in codes:
-            rem -= 1
-            cur[stale[0] : stale[1]] = [INF] * (stale[1] - stale[0])
-            start = max(0, lo - self.behind)
-            limit = min(len(cur) - 1, lo + len(vals) - 1 + self.ahead)
-            lo, hi, end = self._column(prev, cur, oc, start, limit, bound, rem)
-            if lo < 0:
-                return
-            vals = cur[lo : hi + 1]
-            yield lo, vals
-            filled, stale = (start, end), filled
-            prev, cur = cur, prev
+        return states, vals, x
 
     def match(self, text: str, bound: int) -> MatchResult:
-        """Closest member to `text`, with the cut-off starting at `bound` and
-        doubling until the accept state falls within it.  At `bound` = INF no
-        cell is dropped."""
-        n = len(text)
+        """Closest member to `text`, in one pass that keeps the cells within `bound`.
+
+        `bound` must be at least the optimal distance; below it, the accept
+        state is not kept and this raises ValueError.  At `bound` = INF no cell
+        is dropped.
+        """
+        n, last = len(text), self.auto.n_states - 1
         codes = [ord(ch) for ch in text]
-        stride = 1 if (n + 1) * self.auto.n_states <= _FULL_TRACE_CELLS else _CHECKPOINT_STRIDE
-        while True:
-            first = [INF] * self.auto.n_states
-            first[0] = 0
-            lo, hi, _end = self._column([INF] * self.auto.n_states, first, ANY, 0, 0, bound, n)  # nothing read yet
-            bands = {0: (lo, first[lo : hi + 1])}
-            j, band = 0, bands[0]
-            for j, band in enumerate(self._sweep(band, codes, bound, n), start=1):
-                if j % stride == 0 or j == n:
-                    bands[j] = band
-            distance = _value(band, self.auto.accept) if j == n else INF
-            if distance <= bound:
+        prev, cur = [INF] * (last + 1), [INF] * (last + 1)
+        cur[0] = 0
+        states, vals, end = self._column(prev, cur, ANY, 0, 0, bound, n)  # column 0 reads no letter
+        columns = [(states, vals)]
+        filled, stale = (0, end), (0, 0)
+        for j, oc in enumerate(codes, start=1):
+            if not states:
                 break
-            bound = 2 * bound + 1
-
-        window: dict[int, tuple[int, list[int]]] = {}
-
-        def band_at(j: int) -> tuple[int, list[int]]:
-            if j not in bands and j not in window:  # recompute the columns after a checkpoint
-                c = j - j % stride
-                window.clear()
-                window.update(enumerate(self._sweep(bands[c], codes[c : c + stride - 1], bound, n - c), start=c + 1))
-            return bands[j] if j in bands else window[j]
+            prev, cur = cur, prev
+            cur[stale[0] : stale[1]] = [INF] * (stale[1] - stale[0])
+            start = max(0, states[0] - self.behind)
+            states, vals, end = self._column(prev, cur, oc, start, min(last, states[-1] + self.ahead), bound, n - j)
+            columns.append((states, vals))
+            filled, stale = (start, end), filled
+        distance = _value(columns[-1], self.auto.accept)  # INF after an empty column
+        if distance == INF:
+            raise ValueError(f"no alignment within bound {bound}; the bound must be at least the optimal distance")
 
         trace: list[tuple[str, str]] = []
         min_letter = self.letters[0] if self.letters else SEPARATOR
         j, x = n, self.auto.accept
         while j or x:
-            cur = band_at(j)
+            cur = columns[j]
             v = _value(cur, x)
             if j:
-                prev, ch, oc = band_at(j - 1), text[j - 1], codes[j - 1]
+                prev, ch, oc = columns[j - 1], text[j - 1], codes[j - 1]
                 if _value(prev, x) + 1 == v:
                     trace.append(("delete", ch))
                     j -= 1

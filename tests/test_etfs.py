@@ -3,6 +3,7 @@ import random
 import pytest
 
 from seqsan import (
+    Alphabet,
     NoNonSensitive,
     UndefinedWhenZero,
     approx_regex_match,
@@ -67,9 +68,11 @@ class TestBuildRegex:
 
 class TestGadgetLanguage:
     def test_sampled_filler_never_runs_k_letters(self):
+        # Filler is in the language with no k straight letters; a run of k is not.
         rng = random.Random(18)
         k = 4
         letters = "abc"
+        regex = fallback_regex(Alphabet.from_text(letters), k)
         for _ in range(200):
             # sample from the filler shape: # (up to k-1 letters #)*
             parts = ["#"]
@@ -77,8 +80,10 @@ class TestGadgetLanguage:
                 run = "".join(rng.choice(letters) for _ in range(rng.randint(0, k - 1)))
                 parts.append(run + "#")
             s = "".join(parts)
-            runs = [len(r) for r in s.split("#")]
-            assert max(runs) < k
+            assert regex.matches(s), s
+            cut = rng.randint(0, len(s))
+            spliced = s[:cut] + "".join(rng.choice(letters) for _ in range(k)) + s[cut:]
+            assert not regex.matches(spliced), spliced
 
 
 class TestApproxRegexMatch:
@@ -138,23 +143,22 @@ class TestApproxRegexMatch:
             assert _Matcher(auto, regex.letters).col_in == want, (inst.text, inst.k)
 
     def test_cut_off_does_not_change_the_result(self):
-        import seqsan.etfs as etfs_mod
-
+        # A bound at the optimum gives the unpruned result; a bound below it raises.
         rng = random.Random(23)
-        for case in range(60):
+        positive = 0
+        for _ in range(60):
             inst = random_instance(rng, n_min=4, n_max=50)
             regex = _regex(inst)
             matcher = _Matcher(_Automaton(regex), regex.letters)
-            saved = etfs_mod._FULL_TRACE_CELLS
-            try:
-                if case % 3 == 0:
-                    etfs_mod._FULL_TRACE_CELLS = 0  # windowed reconstruction
-                unbounded = matcher.match(inst.text, INF)
-                doubled = matcher.match(inst.text, 0)  # doubles until the distance fits
-            finally:
-                etfs_mod._FULL_TRACE_CELLS = saved
-            assert doubled == unbounded
+            unbounded = matcher.match(inst.text, INF)
             assert etfs_sanitize(inst) == unbounded
+            d = unbounded.distance
+            if d:
+                positive += 1
+                assert matcher.match(inst.text, d) == unbounded
+                with pytest.raises(ValueError):
+                    matcher.match(inst.text, d - 1)
+        assert positive >= 30
 
 
 class TestLowerBound:
@@ -179,8 +183,8 @@ class TestLowerBound:
             assert all(minrem[s] == best[s] for s in range(auto.n_states) if s != auto.accept)
 
     def test_one_pass_at_the_optimum_keeps_just_the_cells_within_it(self, monkeypatch):
-        # A cell whose value plus its lower bound h equals the bound is kept, so a
-        # pass at the optimum needs no doubling; each band starts and ends at a kept cell.
+        # A cell whose value plus its lower bound h equals the bound is kept, so
+        # one pass at the optimum finds it; a column stores its kept cells only.
         rng = random.Random(26)
         for _ in range(300):
             rate = rng.choice((0.05, 0.35, 0.7))
@@ -188,41 +192,39 @@ class TestLowerBound:
             regex = _regex(inst)
             matcher = _Matcher(_Automaton(regex), regex.letters)
             reference = matcher.match(inst.text, INF)
-            n, sweep, passes = inst.n, matcher._sweep, []
+            column, bounds = matcher._column, []
 
-            def recording(band, codes, bound, rem):
-                passes.append(bound)
-                for j, (lo, vals) in enumerate(sweep(band, codes, bound, rem), start=n - rem + 1):
-                    for x, v in ((lo, vals[0]), (lo + len(vals) - 1, vals[-1])):
-                        assert v + max(0, matcher.minrem[x] - (n - j)) <= bound
-                    yield lo, vals
+            def recording(prev, cur, oc, x, limit, bound, rem):
+                bounds.append(bound)
+                states, vals, end = column(prev, cur, oc, x, limit, bound, rem)
+                assert all(v + max(0, matcher.minrem[s] - rem) <= bound for s, v in zip(states, vals))
+                return states, vals, end
 
-            monkeypatch.setattr(matcher, "_sweep", recording)
+            monkeypatch.setattr(matcher, "_column", recording)
             assert matcher.match(inst.text, reference.distance) == reference
-            assert passes == [reference.distance]
+            assert bounds == [reference.distance] * (inst.n + 1)
 
-    def test_pruned_engine_agrees_with_the_unpruned_one(self, monkeypatch):
+    def test_pruned_engine_agrees_with_the_unpruned_one(self):
         # match(text, INF) keeps every cell; etfs_sanitize starts at the TFS
         # output's distance and drops the cells the lower bound rules out.
-        import seqsan.etfs as etfs_mod
-
         rng = random.Random(25)
-        full_trace_cells = etfs_mod._FULL_TRACE_CELLS
-        seen = {"k=1": 0, "dense": 0, "sparse": 0, "fallback": 0, "checkpointed": 0}
-        for case in range(2000):
-            rate = rng.choice((0.02, 0.1, 0.35, 0.6, 0.9))
-            n_min, n_max = (65, 90) if case % 50 == 0 else (2, 30)  # past one checkpoint stride now and then
-            inst = random_instance(rng, n_min, n_max, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6), sensitive_rate=rate)
+        seen = {"k=1": 0, "dense": 0, "sparse": 0, "fallback": 0, "long": 0}
+        for case in range(2001):
+            if case < 2000:
+                rate = rng.choice((0.02, 0.1, 0.35, 0.6, 0.9))
+                n_min, n_max = (65, 90) if case % 50 == 0 else (2, 30)
+                inst = random_instance(rng, n_min, n_max, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6), sensitive_rate=rate)
+            else:  # one instance of 120-160 letters, at random_instance's default rate
+                rate = 0.35
+                inst = random_instance(random.Random(20), n_min=120, n_max=160, sigmas=(3,), ks=(4,))
             regex = _regex(inst)
             reference = _Matcher(_Automaton(regex), regex.letters).match(inst.text, INF)
-            checkpointed = case % 4 == 0
-            monkeypatch.setattr(etfs_mod, "_FULL_TRACE_CELLS", 0 if checkpointed else full_trace_cells)
             assert etfs_sanitize(inst) == reference, (inst.text, inst.k, inst.sensitive_patterns)
             seen["k=1"] += inst.k == 1
             seen["dense"] += rate >= 0.6
             seen["sparse"] += rate <= 0.1
             seen["fallback"] += not inst.nonsensitive_positions
-            seen["checkpointed"] += checkpointed and inst.n > 64
+            seen["long"] += inst.n > 64
         assert min(seen.values()) >= 10, seen
 
 
@@ -272,21 +274,6 @@ class TestEtfsSanitize:
                     edre(inst.text, x, res.text, optimal_distance=res.distance)
                 continue
             assert edre(inst.text, x, res.text, optimal_distance=res.distance) == want
-
-    def test_checkpointed_traceback_agrees_with_full(self):
-        import seqsan.etfs as etfs_mod
-
-        rng = random.Random(20)
-        inst = random_instance(rng, n_min=120, n_max=160, sigmas=(3,), ks=(4,))
-        full = etfs_sanitize(inst)
-        saved = etfs_mod._FULL_TRACE_CELLS
-        try:
-            etfs_mod._FULL_TRACE_CELLS = 0  # force windowed reconstruction
-            windowed = etfs_sanitize(inst)
-        finally:
-            etfs_mod._FULL_TRACE_CELLS = saved
-        assert windowed.distance == full.distance
-        assert windowed.text == full.text
 
 
 class TestComplexityEnvelope:

@@ -22,12 +22,11 @@ from .errors import (
     BlockTooShort,
     BudgetExceeded,
     Infeasible,
-    NoNonSensitive,
     SanitizationError,
     SeparatorInInput,
     UndefinedWhenZero,
 )
-from .etfs import MatchResult, SanRegex, approx_regex_match, build_regex, etfs_sanitize, fallback_regex
+from .etfs import MatchResult, SanRegex, approx_regex_match, build_regex, etfs_sanitize
 from .mcsr import (
     CostModel,
     GhostCandidateSet,
@@ -93,7 +92,6 @@ __all__ = [
     "McsrResult",
     "etfs_sanitize",
     "build_regex",
-    "fallback_regex",
     "approx_regex_match",
     "SanRegex",
     "MatchResult",
@@ -116,7 +114,6 @@ __all__ = [
     "BadK",
     "BadPosition",
     "BlockTooShort",
-    "NoNonSensitive",
     "Infeasible",
     "UndefinedWhenZero",
     "BudgetExceeded",

@@ -196,13 +196,11 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         match = timed("etfs", etfs_sanitize, inst)
         report.lengths["xed"] = len(match.text)
         report.edit_distance = match.distance
-        try:
-            # `out` is the TFS output, the shortest member whose distance started the cut-off.
-            report.edre = mt.edre(
-                inst.text, out, match.text, optimal_distance=match.distance, heuristic_distance=match.shortest_distance
-            )
-        except mt.UndefinedWhenZero:
-            report.notes.append("edre undefined: optimal distance is zero")
+        # `out` is the TFS output, the shortest member whose distance started the cut-off.
+        # An optimum of 0 means no window is sensitive, so `out` is the source and edre is 0.
+        report.edre = mt.edre(
+            inst.text, out, match.text, optimal_distance=match.distance, heuristic_distance=match.shortest_distance
+        )
         out, out_counts = match.text, None
     if args.pipeline == "ba":
         out, out_counts = timed("ba", mt.ba_sanitize, inst), None

@@ -21,10 +21,6 @@ class BlockTooShort(SanitizationError):
     """A block is too short for the requested affix length."""
 
 
-class NoNonSensitive(SanitizationError):
-    """Every window of the input is sensitive; no anchor pattern exists."""
-
-
 class Infeasible(SanitizationError):
     """No separator replacement satisfies the safety and capacity constraints."""
 

@@ -3,14 +3,15 @@
 Instead of building one canonical output, this setting asks for the string
 closest to the input among all strings that conceal the sensitive patterns
 while preserving non-sensitive window order and frequency.  That family is
-exactly a regular language: the non-sensitive windows must appear in order,
-consecutive windows sharing a length-(k-1) overlap may either fuse into one
-letter or be separated by filler, and filler is any separator-delimited
-string that never runs k alphabet letters in a row.  The optimum is found by
-approximate regular-expression matching: compile the language to an
-epsilon-automaton with symbolic any-letter edges and run an edit-distance
-dynamic program over (input position, automaton state), then trace back a
-witness.
+exactly a regular language, read off the source's maximal overlap chains
+(whose '#'-join is the TFS output): the chains' windows must appear in order,
+consecutive windows of a chain may either fuse into one letter or be
+separated by filler, successive chains are always separated by filler, and
+filler is any separator-delimited string that never runs k alphabet letters
+in a row.  The optimum is found by approximate regular-expression matching:
+compile the language to an epsilon-automaton with symbolic any-letter edges
+and run an edit-distance dynamic program over (input position, automaton
+state), then trace back a witness.
 
 Each column takes one sweep over the states in order: every in-column edge
 but the filler loops' '#' back-edges runs forward, and those never lower a
@@ -35,77 +36,63 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from .core import SEPARATOR, Alphabet, SanitizationInstance
-from .errors import NoNonSensitive
+from .core import SEPARATOR, SanitizationInstance, overlap_chains
 from .metrics import edit_distance
 
 ANY = -1  # consuming-edge label: any single alphabet letter
 
 
 @dataclass(frozen=True)
-class Merge:
-    """Next window overlaps the previous one: keep one letter or interleave."""
-
-    short: str  # the single letter left after fusing the overlap
-    pattern: str
-
-
-@dataclass(frozen=True)
-class Gap:
-    """Next window does not overlap: filler is mandatory."""
-
-    pattern: str
-
-
-@dataclass(frozen=True)
 class SanRegex:
     """Structured regular expression over the alphabet plus '#'.
 
-    `head` is the first mandatory window; a None head is the degenerate form
-    used when no non-sensitive window exists, accepting exactly the strings
-    with no k consecutive alphabet letters.
+    `chains` are the source's maximal overlap chains, in order.  Their windows
+    must appear in that order; each window after a chain's first may fuse
+    onto the window before it by its last letter, or follow it after filler,
+    and each later chain starts after filler.  No chain is the filler-only
+    language: the strings with no k consecutive alphabet letters.
     """
 
     k: int
     letters: str
-    head: str | None
-    segments: tuple[Merge | Gap, ...]
+    chains: tuple[str, ...]
+
+    def _steps(self):
+        """(window, fused letter) for each window after the first; the letter is None at a chain start."""
+        k = self.k
+        for c, chain in enumerate(self.chains):
+            if c:
+                yield chain[:k], None
+            for i in range(k, len(chain)):
+                yield chain[i - k + 1 : i + 1], chain[i]
 
     def flattened_length(self) -> int:
         """Size of the expression with gadgets spelled out letter by letter."""
         sigma_lt_k = (self.k - 1) * (len(self.letters) + 1)
         gadget = sigma_lt_k + 2
-        if self.head is None:
+        if not self.chains:
             return sigma_lt_k + gadget
-        total = gadget + len(self.head) + gadget
-        for seg in self.segments:
-            if isinstance(seg, Merge):
-                total += 1 + gadget + len(seg.pattern) + 2
-            else:
-                total += gadget + len(seg.pattern)
-        return total
+        # Each window costs the filler gadget before it and its k letters, a window
+        # after a chain's first 3 more (its fused letter and the alternation), and
+        # the closing filler one gadget.
+        windows = sum(len(chain) - self.k + 1 for chain in self.chains)
+        return gadget + windows * (gadget + self.k) + 3 * (windows - len(self.chains))
 
     def shortest_member(self) -> str:
-        """Fuse every Merge and separate every Gap by one '#': the TFS output."""
-        if self.head is None:
-            return ""
-        return self.head + "".join(
-            seg.short if isinstance(seg, Merge) else SEPARATOR + seg.pattern for seg in self.segments
-        )
+        """Fuse every overlap and separate the chains by one '#': the TFS output."""
+        return SEPARATOR.join(self.chains)
 
     def to_pattern(self) -> str:
         """Equivalent `re` pattern, for independent membership checking."""
         cls = "[" + re.escape(self.letters) + "]"
         run = f"(?:{cls}?){{{self.k - 1}}}" if self.k > 1 else ""
-        if self.head is None:
+        if not self.chains:
             return f"{run}(?:#{run})*"
         plus = f"#(?:{run}#)*"
-        parts = [f"(?:{run}#)*", re.escape(self.head)]
-        for seg in self.segments:
-            if isinstance(seg, Merge):
-                parts.append(f"(?:{re.escape(seg.short)}|{plus}{re.escape(seg.pattern)})")
-            else:
-                parts.append(f"{plus}{re.escape(seg.pattern)}")
+        parts = [f"(?:{run}#)*", re.escape(self.chains[0][: self.k])]
+        for window, fused in self._steps():
+            after_filler = plus + re.escape(window)
+            parts.append(after_filler if fused is None else f"(?:{re.escape(fused)}|{after_filler})")
         parts.append(f"(?:#{run})*")
         return "".join(parts)
 
@@ -125,26 +112,7 @@ class MatchResult:
 
 def build_regex(inst: SanitizationInstance) -> SanRegex:
     """Language of all order- and frequency-preserving sanitized strings."""
-    positions = inst.nonsensitive_positions
-    if not positions:
-        raise NoNonSensitive("every window is sensitive; the standard form needs an anchor window")
-    text, k = inst.text, inst.k
-    head = text[positions[0] : positions[0] + k]
-    segments: list[Merge | Gap] = []
-    prev = positions[0]
-    for cur in positions[1:]:
-        pattern = text[cur : cur + k]
-        if text[prev + 1 : prev + k] == text[cur : cur + k - 1]:
-            segments.append(Merge(short=pattern[k - 1], pattern=pattern))
-        else:
-            segments.append(Gap(pattern=pattern))
-        prev = cur
-    return SanRegex(k=k, letters=inst.alphabet.chars, head=head, segments=tuple(segments))
-
-
-def fallback_regex(alphabet: Alphabet, k: int) -> SanRegex:
-    """Strings with no k consecutive alphabet letters; used when nothing is preservable."""
-    return SanRegex(k=k, letters=alphabet.chars, head=None, segments=())
+    return SanRegex(inst.k, inst.alphabet.chars, tuple(overlap_chains(inst)))
 
 
 class _Automaton:
@@ -172,17 +140,17 @@ class _Automaton:
             self.cons.append((last, head, sep))
             return last
 
-        if regex.head is None:
+        if not regex.chains:
             cur = chain(0, [ANY] * (regex.k - 1))
         else:
             loop(0)  # leading filler loops back to the start
-            cur = chain(0, map(ord, regex.head))
-            for seg in regex.segments:
+            cur = chain(0, map(ord, regex.chains[0][: regex.k]))
+            for window, fused in regex._steps():
                 h = chain(cur, [sep])
                 loop(h)
-                nxt = chain(h, map(ord, seg.pattern))
-                if isinstance(seg, Merge):
-                    self.cons.append((cur, nxt, ord(seg.short)))
+                nxt = chain(h, map(ord, window))
+                if fused is not None:
+                    self.cons.append((cur, nxt, ord(fused)))
                 cur = nxt
         h = chain(cur, [sep])
         last = loop(h)
@@ -352,8 +320,4 @@ def approx_regex_match(text: str, regex: SanRegex) -> MatchResult:
 
 def etfs_sanitize(inst: SanitizationInstance) -> MatchResult:
     """Minimal-edit-distance sanitized string for the instance."""
-    try:
-        regex = build_regex(inst)
-    except NoNonSensitive:
-        regex = fallback_regex(inst.alphabet, inst.k)
-    return approx_regex_match(inst.text, regex)
+    return approx_regex_match(inst.text, build_regex(inst))

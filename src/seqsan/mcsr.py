@@ -187,7 +187,6 @@ def build_mck(
     cm: CostModel,
     sensitive: frozenset[str] | set[str],
     implausible: ImplausibleSet | None = None,
-    banned: set[tuple[int, str]] | None = None,
 ) -> MckInstance:
     """One knapsack class per separator of `sites`; elements are the surviving choices, with their ghost costs."""
     if cm.theta is None:
@@ -197,8 +196,6 @@ def build_mck(
     for i, (start, options) in enumerate(sites, start=1):
         elements: list[MckElement] = []
         for choice, windows in options:
-            if banned and (i, choice) in banned:
-                continue
             weight = _weigh(cm, sensitive, implausible, i, choice, windows)
             if weight is None:
                 continue

@@ -69,7 +69,6 @@ class MetricsReport:
     edit_distance: int | None = None
     implausible_pct: float | None = None
     runtimes_ms: dict[str, float] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def to_text(self, alphabet=None) -> str:
         """Key=value lines; list-valued metrics repeat their key per entry."""
@@ -91,7 +90,6 @@ class MetricsReport:
             lines.append(f"implausible_pct={self.implausible_pct:g}")
         for name, value in sorted(self.runtimes_ms.items()):
             lines.append(f"runtime_ms_{name}={value:.3f}")
-        lines.extend(f"note={note}" for note in self.notes)
         return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,12 @@
 import json
+import random
 import sys
 
 import pytest
 
-from seqsan import cli, core, metrics
+from seqsan import cli, core, implausible_set, mcsr_sanitize, metrics, tfs_sanitize
 from seqsan.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, main
+from conftest import random_instance
 
 
 def write(path, content):
@@ -60,6 +62,42 @@ def test_etfs_pipeline_reports_distance(tmp_path):
     assert code == EXIT_OK
     assert out.read_text().strip() == "aaa#aab"
     assert "edit_distance=1" in rep.read_text()
+
+
+def test_etfs_with_nothing_sensitive_reports_zero_edre(tmp_path):
+    # An optimum of 0 means no window is sensitive, so the TFS output is the source too.
+    w = write(tmp_path / "w.txt", "bacabac\n")
+    p = write(tmp_path / "p.txt", "")
+    out = tmp_path / "xed.txt"
+    rep = tmp_path / "rep.txt"
+    code = main(
+        ["sanitize", "--pipeline", "etfs", "--k", "3", "--in", w, "--patterns", p,
+         "--out", str(out), "--report", str(rep)]
+    )
+    assert code == EXIT_OK
+    assert out.read_text().strip() == "bacabac"
+    lines = rep.read_text().splitlines()
+    assert "edit_distance=0" in lines and "edre=0" in lines
+    assert not any(line.startswith("note=") for line in lines)
+
+
+@pytest.mark.parametrize("seed", [223, 244])  # k = 4 and k = 3; both feasible under tmi
+def test_implausible_pct_counts_the_implausible_site_windows(tmp_path, seed):
+    inst = random_instance(random.Random(seed), sigmas=(2, 3), ks=(3, 4))
+    w = write(tmp_path / "w.txt", inst.text + "\n")
+    p = write(tmp_path / "p.txt", "".join(pat + "\n" for pat in sorted(inst.sensitive_patterns)))
+    # Counted directly: the share of MCSR's realized site windows that are implausible.
+    site_windows = mcsr_sanitize(tfs_sanitize(inst), inst).site_windows
+    implausible = implausible_set(inst.text, inst.k, -0.5)
+    bad = sum(win in implausible for _i, win in site_windows)
+    assert bad > 0
+    # tm lets MCSR pick implausible windows and only measures them; tmi avoids them.
+    for pipeline, pct in (("tm", 100.0 * bad / len(site_windows)), ("tmi", 0.0)):
+        rep = tmp_path / f"{pipeline}.txt"
+        argv = ["sanitize", "--pipeline", pipeline, "--k", str(inst.k), "--rho", "-0.5", "--in", w, "--patterns", p,
+                "--out", str(tmp_path / f"{pipeline}-z.txt"), "--report", str(rep)]
+        assert main(argv) == EXIT_OK
+        assert f"implausible_pct={pct:g}" in rep.read_text().splitlines()
 
 
 def test_infeasible_exit_code(tmp_path):

@@ -1,10 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from seqsan import (
-    Alphabet,
-    NoNonSensitive,
+    SanRegex,
     UndefinedWhenZero,
     approx_regex_match,
     build_instance,
@@ -12,36 +12,35 @@ from seqsan import (
     edit_distance,
     edre,
     etfs_sanitize,
-    fallback_regex,
     tfs_sanitize,
     verify,
 )
-from seqsan.etfs import ANY, INF, Gap, Merge, _Automaton, _Matcher
+from seqsan.etfs import ANY, INF, _Automaton, _Matcher
 from conftest import random_instance
-
-
-def _regex(inst):
-    return build_regex(inst) if inst.nonsensitive_positions else fallback_regex(inst.alphabet, inst.k)
 
 
 class TestBuildRegex:
     def test_example_structure(self, example_merge_chain):
         regex = build_regex(example_merge_chain)
-        assert regex.head == "aaab"
-        kinds = [type(s).__name__ for s in regex.segments]
-        assert kinds == ["Merge", "Merge", "Merge", "Merge", "Gap"]
-        assert [s.pattern for s in regex.segments] == ["aaba", "abac", "bacc", "accb", "cbbb"]
-        assert [s.short for s in regex.segments if isinstance(s, Merge)] == ["a", "c", "c", "b"]
+        assert regex.chains == ("aaabaccb", "cbbb")
+        # With a filler gadget of (k-1)(sigma+1) + 2 = 14: leading filler, the first
+        # window and closing filler 14 + 4 + 14; four fusable windows at 14 + 4 + 3
+        # each; filler and the second chain's window 14 + 4.
+        assert regex.flattened_length() == 134
 
     def test_single_window(self):
         inst = build_instance("aab", 2, patterns=["ab"])
         regex = build_regex(inst)
-        assert regex.head == "aa"
-        assert regex.segments == ()
+        assert regex.chains == ("aa",)
 
-    def test_all_sensitive_raises(self, example_all_sensitive):
-        with pytest.raises(NoNonSensitive):
-            build_regex(example_all_sensitive)
+    def test_all_sensitive_is_the_filler_language(self, example_all_sensitive):
+        # No chain: exactly the strings over a, b and '#' with no 4 letters in a row.
+        regex = build_regex(example_all_sensitive)
+        assert regex.chains == ()
+        assert regex.flattened_length() == 9 + 11  # k-1 optional letters, then a gadget
+        for n in range(9):
+            for s in map("".join, itertools.product("ab#", repeat=n)):
+                assert regex.matches(s) == all(len(run) < 4 for run in s.split("#")), s
 
     def test_membership_of_known_strings(self, example_merge_chain):
         regex = build_regex(example_merge_chain)
@@ -54,13 +53,13 @@ class TestBuildRegex:
         rng = random.Random(17)
         for _ in range(200):
             inst = random_instance(rng, n_min=4, n_max=40)
-            regex = _regex(inst)
+            regex = build_regex(inst)
             assert regex.shortest_member() == tfs_sanitize(inst)
             assert regex.matches(regex.shortest_member())
 
     def test_fallback_language(self):
         inst = build_instance("aaaaaab", 4, patterns=["aaaa", "aaab"])
-        regex = fallback_regex(inst.alphabet, inst.k)
+        regex = build_regex(inst)
         assert regex.matches("aaa#aab")
         assert regex.matches("")
         assert not regex.matches("aaaa")  # four straight letters form a window
@@ -72,7 +71,7 @@ class TestGadgetLanguage:
         rng = random.Random(18)
         k = 4
         letters = "abc"
-        regex = fallback_regex(Alphabet.from_text(letters), k)
+        regex = SanRegex(k, letters, ())
         for _ in range(200):
             # sample from the filler shape: # (up to k-1 letters #)*
             parts = ["#"]
@@ -115,7 +114,7 @@ class TestApproxRegexMatch:
         rng = random.Random(22)
         for _ in range(40):
             inst = random_instance(rng, n_min=4, n_max=30)
-            auto = _Automaton(_regex(inst))
+            auto = _Automaton(build_regex(inst))
             matcher = _Matcher(auto, inst.alphabet.chars)
             prev, cur = [INF] * auto.n_states, [INF] * auto.n_states
             cur[0] = 0
@@ -132,7 +131,7 @@ class TestApproxRegexMatch:
         rng = random.Random(26)
         for case in range(300):
             inst = random_instance(rng, n_min=2, n_max=40, ks=(1, 2, 3, 4, 5))
-            regex = fallback_regex(inst.alphabet, inst.k) if case % 5 == 0 else _regex(inst)
+            regex = SanRegex(inst.k, inst.alphabet.chars, ()) if case % 5 == 0 else build_regex(inst)
             auto = _Automaton(regex)
             want = [[] for _ in range(auto.n_states)]
             in_edges = [(src, 0, dst, -1, ANY) for src, dst in auto.eps]
@@ -148,7 +147,7 @@ class TestApproxRegexMatch:
         positive = 0
         for _ in range(60):
             inst = random_instance(rng, n_min=4, n_max=50)
-            regex = _regex(inst)
+            regex = build_regex(inst)
             matcher = _Matcher(_Automaton(regex), regex.letters)
             unbounded = matcher.match(inst.text, INF)
             assert etfs_sanitize(inst) == unbounded
@@ -166,7 +165,7 @@ class TestLowerBound:
         rng = random.Random(24)
         for case in range(300):
             inst = random_instance(rng, n_min=2, n_max=40, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6))
-            regex = fallback_regex(inst.alphabet, inst.k) if case % 5 == 0 else _regex(inst)
+            regex = SanRegex(inst.k, inst.alphabet.chars, ()) if case % 5 == 0 else build_regex(inst)
             auto = _Automaton(regex)
             minrem = _Matcher(auto, regex.letters).minrem
             assert minrem[auto.accept] == 0
@@ -189,7 +188,7 @@ class TestLowerBound:
         for _ in range(300):
             rate = rng.choice((0.05, 0.35, 0.7))
             inst = random_instance(rng, 2, 30, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6), sensitive_rate=rate)
-            regex = _regex(inst)
+            regex = build_regex(inst)
             matcher = _Matcher(_Automaton(regex), regex.letters)
             reference = matcher.match(inst.text, INF)
             column, bounds = matcher._column, []
@@ -217,7 +216,7 @@ class TestLowerBound:
             else:  # one instance of 120-160 letters, at random_instance's default rate
                 rate = 0.35
                 inst = random_instance(random.Random(20), n_min=120, n_max=160, sigmas=(3,), ks=(4,))
-            regex = _regex(inst)
+            regex = build_regex(inst)
             reference = _Matcher(_Automaton(regex), regex.letters).match(inst.text, INF)
             assert etfs_sanitize(inst) == reference, (inst.text, inst.k, inst.sensitive_patterns)
             seen["k=1"] += inst.k == 1
@@ -281,10 +280,7 @@ class TestComplexityEnvelope:
         rng = random.Random(21)
         for _ in range(20):
             inst = random_instance(rng, n_min=10, n_max=80)
-            try:
-                regex = build_regex(inst)
-            except NoNonSensitive:
-                regex = fallback_regex(inst.alphabet, inst.k)
+            regex = build_regex(inst)
             auto = _Automaton(regex)
             assert auto.n_states <= regex.flattened_length()
             n_anchors = len(inst.nonsensitive_positions)

@@ -12,7 +12,6 @@ from seqsan import (
     build_regex,
     edit_distance,
     etfs_sanitize,
-    fallback_regex,
     oracle_fo_ssm,
     oracle_mck,
     oracle_min_etfs,
@@ -102,7 +101,7 @@ class TestOracleMinEtfs:
             res = etfs_sanitize(inst)
             case = (inst.text, inst.k, sorted(inst.sensitive_patterns))
             assert res.distance == dist, case
-            regex = build_regex(inst) if inst.nonsensitive_positions else fallback_regex(inst.alphabet, inst.k)
+            regex = build_regex(inst)
             assert regex.matches(res.text), case
             assert edit_distance(inst.text, res.text) == res.distance, case
         assert ran >= 4 * skipped, f"{skipped} of {ran + skipped} instances exceeded the oracle budget"

@@ -5,7 +5,7 @@ Pipelines compose the library stages:
   tfs    shortest output preserving window order and frequency (may contain '#')
   pfs    shorter output preserving overlap chains and frequency (may contain '#')
   tpm    tfs -> pfs -> separator replacement (output over the alphabet only)
-  tm     tfs -> separator replacement
+  tm     tfs -> separator replacement (with --rho, tm and tpm report implausible_pct)
   tmi    tfs -> separator replacement avoiding implausible patterns (needs --rho)
   etfs   minimal-edit-distance output (may contain '#')
   ba     greedy in-place baseline
@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_san.add_argument("--k", type=_positive_int, required=True)
     p_san.add_argument("--tau", type=_positive_int, default=1)
     p_san.add_argument("--theta", type=_theta, default="auto", help="distortion capacity; integer or 'auto' (= separator count)")
-    p_san.add_argument("--rho", type=_negative, default=None, help="implausibility threshold (negative; tmi only)")
+    p_san.add_argument("--rho", type=_negative, default=None,
+                       help="implausibility threshold (negative); needed by tmi, reported on by tpm and tm (implausible_pct)")
     p_san.add_argument("--mode", choices=("char", "token"), default="char")
     p_san.add_argument("--cost-model", default="uniform", help="'uniform' or a JSON file")
     p_san.add_argument("--in", dest="in_path", required=True)

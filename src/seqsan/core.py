@@ -8,8 +8,8 @@ window up in the set of wanted patterns.  All sanitizers in this package
 consume instances built here.
 
 `overlap_chains` spells the maximal overlap chains of the non-sensitive
-windows.  It is the one spelling behind both the TFS output (the chains joined
-by '#') and the verifiers that decide C1, P1, Pi1 and P2 on it.
+windows, once per instance (`chains`).  The TFS output (the chains joined by
+'#'), the ETFS language and the verifiers of C1, P1, Pi1 and P2 all read them.
 
 An instance counts its k-mers once, on first use (`counts`).  Every TFS and
 PFS output has `preserved_counts()` as its k-mer counts, so no stage counts
@@ -156,6 +156,11 @@ class SanitizationInstance:
     def counts(self) -> Counter[str]:
         """`kmer_counts(text, k)`, computed on first use and shared: callers must not mutate it."""
         return kmer_counts(self.text, self.k)
+
+    @cached_property
+    def chains(self) -> tuple[str, ...]:
+        """`overlap_chains(self)`, spelled on first use and shared."""
+        return tuple(overlap_chains(self))
 
     def preserved_counts(self) -> Counter[str]:
         """A fresh copy of `counts` without the sensitive patterns.

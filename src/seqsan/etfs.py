@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
-from .core import SEPARATOR, SanitizationInstance, overlap_chains
+from .core import SEPARATOR, SanitizationInstance
 from .metrics import edit_distance
 
 ANY = -1  # consuming-edge label: any single alphabet letter
@@ -112,7 +112,7 @@ class MatchResult:
 
 def build_regex(inst: SanitizationInstance) -> SanRegex:
     """Language of all order- and frequency-preserving sanitized strings."""
-    return SanRegex(inst.k, inst.alphabet.chars, tuple(overlap_chains(inst)))
+    return SanRegex(inst.k, inst.alphabet.chars, inst.chains)
 
 
 class _Automaton:

@@ -10,7 +10,10 @@ are discarded outright, as are choices that would complete a statistically
 implausible window when an implausible set is supplied.  Each separator's
 choices are enumerated once, by `separator_sites`, which checks admissibility
 on the way (an infeasible input fails before any ghost is estimated); the ghost
-estimate and the knapsack, built once for all rounds, read that table.
+estimate and the knapsack read that table.  The input has at least k-1 letters
+between any two separators, as every TFS and PFS output has, so no window of
+the output reaches two junctions: the windows a choice creates are the ones the
+table checked for it, and the knapsack is solved once.
 
 The input's k-mers are counted at most once: a caller that knows them, such
 as the pipelines whose input is a TFS or PFS output, hands them in.  A
@@ -25,7 +28,7 @@ import math
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance, _occurrences, kmer_counts
 from .errors import BadK, Infeasible
@@ -69,8 +72,7 @@ class GhostCandidateSet:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class MckElement:
+class MckElement(NamedTuple):
     choice: str  # alphabet letter, or "" for deletion
     cost: float
     weight: float
@@ -342,20 +344,23 @@ def mcsr_sanitize(
 ) -> McsrResult:
     """Rewrite every separator of `text` into an alphabet letter or a deletion.
 
-    Costing uses the per-separator contexts of the input; after committing,
-    the realized windows around every junction are re-checked and, should an
-    interaction between nearby sites have produced a sensitive or implausible
-    window, the offending choice is banned and the knapsack re-solved.  The
-    output's counts are the input's plus the windows at every start that
-    covers a junction, each start once.  `counts`, if given, must equal
-    `kmer_counts(text, inst.k)`; it becomes the result's counts and is updated
-    in place.
+    Every block between two separators must have at least k-1 letters, as
+    every block of a TFS or PFS output does (else ValueError).  Then no window
+    reaches two junctions, so the windows a choice creates are exactly those
+    `separator_sites` listed and checked for it, and one knapsack solve is the
+    answer.  The output's counts are the input's plus those windows.
+    `counts`, if given, must equal `kmer_counts(text, inst.k)`; it becomes the
+    result's counts and is updated in place.
     """
     k = inst.k
+    parts = text.split(SEPARATOR)
+    for j, block in enumerate(parts[1:-1], start=1):
+        if len(block) < k - 1:
+            raise ValueError(f"block {j} {block!r} lies between separators and has fewer than k-1 = {k - 1} letters")
     if cm is None:
         cm = uniform_cost_model(tau=1)
     if cm.theta is None:
-        cm = dc_replace(cm, theta=float(text.count(SEPARATOR)))
+        cm = dc_replace(cm, theta=float(len(parts) - 1))
     sites = separator_sites(text, k, inst.alphabet.chars, lambda *a: _weigh(cm, inst.sensitive_patterns, implausible, *a))
     if counts is None:
         counts = kmer_counts(text, k)
@@ -363,53 +368,17 @@ def mcsr_sanitize(
         return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=(), counts=counts)
 
     cands = candidate_ghosts(sites, counts, cm.tau)
-    mck = build_mck(sites, cands, cm, inst.sensitive_patterns, implausible)
-    parts = text.split(SEPARATOR)
-    max_rounds = len(sites) * (inst.alphabet.size + 1) + 1
-
-    for _ in range(max_rounds):
-        selection = solve_mck(mck)
-        choices = [el.choice for el in selection]
-
-        assembled: list[str] = [parts[0]]
-        junctions: list[int] = []
-        length = len(parts[0])
-        for choice, block in zip(choices, parts[1:]):
-            junctions.append(length)
-            assembled.append(choice)
-            length += len(choice)
-            assembled.append(block)
-            length += len(block)
-        z = "".join(assembled)
-
-        site_windows: list[tuple[int, str]] = []
-        site_starts: set[int] = set()  # a set: windows of sites closer than k overlap
-        violation: tuple[int, str] | None = None
-        for idx, (choice, pos) in enumerate(zip(choices, junctions), start=1):
-            # The windows holding the inserted letter, or both letters beside a deletion.
-            starts = range(max(0, pos - k + 1), min(len(z) - k, pos if choice else pos - 1) + 1)
-            site_starts.update(starts)
-            for s in starts:
-                win = z[s : s + k]
-                site_windows.append((idx, win))
-                if win in inst.sensitive_patterns or (implausible is not None and win in implausible):
-                    violation = (idx, choice)
-            if violation:
-                break
-        if violation is None:
-            counts.update(z[s : s + k] for s in site_starts)
-            return McsrResult(
-                text=z,
-                choices=tuple(choices),
-                ghost_cost=sum(el.cost for el in selection),
-                total_weight=sum(el.weight for el in selection),
-                site_windows=tuple(site_windows),
-                counts=counts,
-            )
-        i, bad = violation
-        cls = tuple(el for el in mck.classes[i - 1] if el.choice != bad)
-        if not cls:
-            raise Infeasible(_NO_CHOICE.format(i))
-        mck = dc_replace(mck, classes=mck.classes[: i - 1] + (cls,) + mck.classes[i:])
-
-    raise Infeasible("separator rewriting failed to converge; Z cannot be constructed")
+    selection = solve_mck(build_mck(sites, cands, cm, inst.sensitive_patterns, implausible))
+    choices = tuple(el.choice for el in selection)
+    slot = {choice: j for j, (choice, _windows) in enumerate(sites[0][1])}  # every site lists the choices in one order
+    picked = [options[slot[choice]][1] for (_start, options), choice in zip(sites, choices)]
+    site_windows = tuple((i, win) for i, windows in enumerate(picked, start=1) for win in windows)
+    counts.update(win for _i, win in site_windows)
+    return McsrResult(
+        text=parts[0] + "".join(choice + block for choice, block in zip(choices, parts[1:])),
+        choices=choices,
+        ghost_cost=sum(el.cost for el in selection),
+        total_weight=sum(el.weight for el in selection),
+        site_windows=site_windows,
+        counts=counts,
+    )

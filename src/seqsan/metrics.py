@@ -39,7 +39,6 @@ from .core import (
     _windows,
     contains_sensitive,
     kmer_counts,
-    overlap_chains,
 )
 from .errors import UndefinedWhenZero
 
@@ -95,7 +94,7 @@ class MetricsReport:
 
 def _leftover_chains(candidate: str, inst: SanitizationInstance) -> tuple[Counter[str], Counter[str]]:
     """The source's chains and the candidate's chains left after cancelling those both spell, as multisets."""
-    want = Counter(overlap_chains(inst))
+    want = Counter(inst.chains)
     got = Counter(_spell(candidate.split(SEPARATOR), inst.k))
     return want - got, got - want
 
@@ -128,7 +127,7 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
 
     if level == "P1":
         # Spelling is a bijection between window sequences and chain lists.
-        if overlap_chains(inst) == _spell(candidate.split(SEPARATOR), k):
+        if list(inst.chains) == _spell(candidate.split(SEPARATOR), k):
             return VerifyResult(level, True)
         want = [text[i : i + k] for i in inst.nonsensitive_positions]
         got = list(_windows(candidate, k))
@@ -139,7 +138,7 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
         return VerifyResult(level, False, f"window order diverges at chain index {bad}")
 
     if level == "Pi1":
-        need = Counter(overlap_chains(inst))
+        need = Counter(inst.chains)
         blocks = Counter(candidate.split(SEPARATOR))
         short = [(chain, mult) for chain, mult in need.items() if blocks[chain] < mult]
         if short:

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from heapq import heappop, heappush
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance
 from .errors import BlockTooShort
 from .tfs import tfs_sanitize
 
 
-@dataclass(frozen=True)
-class RankPair:
+class RankPair(NamedTuple):
     """A block reduced to the lexicographic ranks of its two length-l affixes."""
 
     block_id: int

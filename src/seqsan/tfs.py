@@ -12,7 +12,7 @@ this against an exhaustive oracle).
 
 from __future__ import annotations
 
-from .core import SEPARATOR, SanitizationInstance, overlap_chains
+from .core import SEPARATOR, SanitizationInstance
 
 
 def tfs_sanitize(inst: SanitizationInstance) -> str:
@@ -20,4 +20,4 @@ def tfs_sanitize(inst: SanitizationInstance) -> str:
 
     Returns the empty string when every window is sensitive.
     """
-    return SEPARATOR.join(overlap_chains(inst))
+    return SEPARATOR.join(inst.chains)

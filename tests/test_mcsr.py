@@ -112,6 +112,23 @@ def _random_separated(rng, letters, n_max):
     return "".join(rng.choice(letters + "##") for _ in range(rng.randint(0, n_max)))
 
 
+def _separated_in_contract(rng, letters, k):
+    """Letters with separators and at least k-1 letters, often exactly k-1, between any two.
+
+    The outer blocks may be shorter, or empty.
+    """
+    word = lambda m: "".join(rng.choice(letters) for _ in range(m))
+    blocks = [word(rng.randint(0, k + 1))]
+    while rng.random() < 0.75 and len(blocks) < 8:
+        blocks.append(word(k - 1 + rng.choice((0, 0, 1, 2, rng.randint(0, 5)))))
+    blocks.append(word(rng.randint(0, k + 1)))
+    return "#".join(blocks)
+
+
+def _has_block_of_k_minus_1(y, k):
+    return k > 1 and any(len(b) == k - 1 for b in y.split("#")[1:-1])
+
+
 class TestCandidateGhostsDefinition:
     def test_entries_match_all_keys_definition(self):
         rng = random.Random(41)
@@ -213,7 +230,7 @@ class TestResultCounts:
             elif kind == "pfs":
                 y = pfs_sanitize(inst)
             elif kind == "random":
-                y = _random_separated(rng, inst.alphabet.chars, 24)
+                y = _separated_in_contract(rng, inst.alphabet.chars, k)
             else:
                 y = inst.text
             implausible = implausible_set(inst.text, k, -0.5) if k > 2 and rng.random() < 0.3 else None
@@ -226,21 +243,37 @@ class TestResultCounts:
             seen["no separator"] += len(blocks) == 1
             seen["leading"] += y.startswith("#")
             seen["trailing"] += y.endswith("#")
-            seen["adjacent"] += "##" in y
-            seen["short block"] += len(blocks) > 1 and any(0 < len(b) < k for b in blocks)
+            seen["short outer block"] += len(blocks) > 1 and any(0 < len(b) < k - 1 for b in (blocks[0], blocks[-1]))
+            seen["blocks of k-1"] += _has_block_of_k_minus_1(y, k)
             seen["k = 1"] += k == 1 and len(blocks) > 1
             seen["deletion"] += "" in res.choices
         assert min(seen.values()) > 20, seen
+        assert seen["blocks of k-1"] >= 50, seen
         assert "counts" not in repr(res)
 
 
-def _parent_mcsr(text, inst, cm, implausible):
+def _junction_spans(parts, choices, k):
+    """The string `choices` make of the blocks `parts`, and per junction the starts of the windows covering it.
+
+    These are the windows holding the inserted letter, or both letters beside a deletion.
+    """
+    z, junctions = parts[0], []
+    for choice, block in zip(choices, parts[1:]):
+        junctions.append(len(z))
+        z += choice + block
+    last = len(z) - k
+    return z, [range(max(0, pos - k + 1), min(last, pos if choice else pos - 1) + 1) for choice, pos in zip(choices, junctions)]
+
+
+def _parent_mcsr(text, inst, cm, implausible, rounds):
     """The construction before admissibility was checked in the table walk, as the reference.
 
     Ghost candidates come from the all-keys definition; every round rebuilds
     every knapsack class from the windows of `context_string`, skipping the
-    banned choices, and costs every admissible choice.  Returns the
-    `McsrResult` fields in order, counts last.
+    banned choices, and costs every admissible choice; after each solve the
+    windows of the output at every junction are re-checked, and a choice that
+    made a sensitive or implausible one is banned.  Appends one entry to
+    `rounds` per round.  Returns the `McsrResult` fields in order, counts last.
     """
     k, letters = inst.k, inst.alphabet.chars
     counts = kmer_counts(text, k)
@@ -261,6 +294,7 @@ def _parent_mcsr(text, inst, cm, implausible):
     parts = text.split("#")
     banned = set()
     for _ in range(len(sites) * (len(letters) + 1) + 1):
+        rounds.append(banned.copy())
         classes = []
         for i, (start, options) in enumerate(sites, start=1):
             elements = []
@@ -277,13 +311,9 @@ def _parent_mcsr(text, inst, cm, implausible):
             classes.append(tuple(elements))
         selection = solve_mck(MckInstance(tuple(classes), cm.theta))
         choices = [el.choice for el in selection]
-        z, junctions = parts[0], []
-        for choice, block in zip(choices, parts[1:]):
-            junctions.append(len(z))
-            z += choice + block
+        z, spans = _junction_spans(parts, choices, k)
         site_windows, starts, violation = [], set(), None
-        for idx, (choice, pos) in enumerate(zip(choices, junctions), start=1):
-            span = range(max(0, pos - k + 1), min(len(z) - k, pos if choice else pos - 1) + 1)
+        for idx, (choice, span) in enumerate(zip(choices, spans), start=1):
             starts.update(span)
             for s in span:
                 site_windows.append((idx, z[s : s + k]))
@@ -310,7 +340,7 @@ class TestAgainstTheParentConstruction:
             inst = random_instance(rng, n_min=3, n_max=36, ks=(1, 2, 3, 4, 5))
             k, letters = inst.k, inst.alphabet.chars
             kind = case % 3
-            y = (tfs_sanitize(inst), pfs_sanitize(inst), _random_separated(rng, letters, 24))[kind]
+            y = (tfs_sanitize(inst), pfs_sanitize(inst), _separated_in_contract(rng, letters, k))[kind]
             tau = rng.randint(1, 4)
             theta = float(rng.randint(y.count("#") // 2, 2 * y.count("#"))) if rng.random() < 0.4 else None
             sub_kind = rng.randrange(3)
@@ -325,24 +355,27 @@ class TestAgainstTheParentConstruction:
             if k > 2 and rng.random() < 0.6:
                 implausible = implausible_set(inst.text, k, rng.choice((-0.3, -0.5, -1.0)))
             rounds.clear()
+            parent_rounds = []
             try:
-                want = _parent_mcsr(y, inst, cm, implausible)
+                want = _parent_mcsr(y, inst, cm, implausible, parent_rounds)
             except Infeasible as exc:
                 with pytest.raises(Infeasible) as got:
                     mcsr_sanitize(y, inst, cm, implausible)
                 assert str(got.value) == str(exc), (y, k)
+                assert len(parent_rounds) == 1, (y, k)
                 seen["infeasible"] += 1
                 continue
             res = mcsr_sanitize(y, inst, cm, implausible)
             got = (res.text, res.choices, res.ghost_cost, res.total_weight, res.site_windows, res.counts)
             assert got == want, (y, k)
             seps = len(res.choices)
+            # On these inputs the re-check never banned a choice, and the package solves once.
+            assert len(parent_rounds) == len(rounds) == (1 if seps else 0), (y, k)
             seen["tau > 1"] += tau > 1 and seps > 0
             seen["theta binds"] += any(sum(max(el.weight for el in c) for c in m.classes) > m.capacity for m in rounds)
             seen["implausible"] += implausible is not None and bool(implausible.patterns) and seps > 0
             seen["sub None"] += sub_kind == 1 and seps > 0
-            seen["sites closer than k"] += any(0 < len(b) < k for b in y.split("#")[1:-1])
-            seen["several rounds"] += len(rounds) > 1
+            seen["blocks of k-1"] += _has_block_of_k_minus_1(y, k)
         assert min(seen.values()) > 50, seen
 
     def test_infeasible_input_fails_before_any_ghost_is_estimated(self, monkeypatch):
@@ -536,11 +569,41 @@ class TestMcsrSanitize:
                 assert win not in imp.patterns
         assert checked > 10
 
-    def test_revalidation_on_short_blocks(self):
-        # Off-contract input: blocks shorter than k let sites interact, which the
-        # post-commit check must catch and re-solve around.
+    def test_blocks_of_k_minus_1_letters_are_in_contract(self):
+        # A block of k-1 = 2 letters between two separators: no window of length 3 holds both junctions.
         inst = build_instance("acbcab", 3, patterns=["cbc"])
-        y = "ac#ab#ca"  # hand-built; blocks of length 2 < k
+        y = "ac#ab#ca"
         res = mcsr_sanitize(y, inst, uniform_cost_model(tau=1))
         assert "#" not in res.text
         assert not contains_sensitive(res.text, inst)
+
+    @pytest.mark.parametrize(
+        "text, k, y, block",
+        [("abab", 2, "ab##ab", "block 1 ''"), ("abcdabcd", 4, "abcd#ab#cd#abcd", "block 1 'ab'")],
+    )
+    def test_blocks_shorter_than_k_minus_1_are_rejected(self, text, k, y, block):
+        with pytest.raises(ValueError, match=block):
+            mcsr_sanitize(y, build_instance(text, k), uniform_cost_model(tau=1))
+
+    def test_site_windows_are_the_windows_at_each_junction(self):
+        rng = random.Random(46)
+        seen = Counter()
+        for case in range(1_500):
+            inst = random_instance(rng, n_min=3, n_max=36, ks=(1, 2, 3, 4, 5))
+            k = inst.k
+            y = (tfs_sanitize(inst), pfs_sanitize(inst), _separated_in_contract(rng, inst.alphabet.chars, k))[case % 3]
+            implausible = implausible_set(inst.text, k, -0.5) if k > 2 and rng.random() < 0.5 else None
+            try:
+                res = mcsr_sanitize(y, inst, uniform_cost_model(tau=rng.randint(1, 3)), implausible)
+            except Infeasible:
+                continue
+            z, spans = _junction_spans(y.split("#"), res.choices, k)
+            assert z == res.text, (y, k)
+            want = [(i, z[s : s + k]) for i, span in enumerate(spans, start=1) for s in span]
+            assert list(res.site_windows) == want, (y, k)
+            unsafe = inst.sensitive_patterns | (implausible.patterns if implausible is not None else frozenset())
+            assert unsafe.isdisjoint(win for _i, win in want), (y, k)
+            seen["sites"] += bool(spans)
+            seen["blocks of k-1"] += _has_block_of_k_minus_1(y, k)
+            seen["implausible"] += implausible is not None and bool(implausible.patterns) and bool(spans)
+        assert min(seen.values()) >= 50, seen

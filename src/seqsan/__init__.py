@@ -29,8 +29,6 @@ from .errors import (
 from .etfs import MatchResult, SanRegex, approx_regex_match, build_regex, etfs_sanitize
 from .mcsr import (
     CostModel,
-    GhostCandidateSet,
-    ImplausibleSet,
     McsrResult,
     MckElement,
     MckInstance,
@@ -85,8 +83,6 @@ __all__ = [
     "implausible_set",
     "CostModel",
     "uniform_cost_model",
-    "GhostCandidateSet",
-    "ImplausibleSet",
     "MckElement",
     "MckInstance",
     "McsrResult",

@@ -33,7 +33,7 @@ from . import metrics as mt
 from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance
 from .errors import Infeasible, SanitizationError
 from .etfs import etfs_sanitize
-from .mcsr import CostModel, ImplausibleSet, implausible_set, mcsr_sanitize, uniform_cost_model
+from .mcsr import CostModel, implausible_set, mcsr_sanitize, uniform_cost_model
 from .pfs import pfs_sanitize
 from .tfs import tfs_sanitize
 
@@ -163,7 +163,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     timings = report.runtimes_ms
     out = inst.text
     out_counts = None  # kmer_counts(out, k), when a stage has it already
-    implausible: ImplausibleSet | None = None
+    implausible: frozenset[str] | None = None
     # Read before any stage runs, so that a malformed file fails fast.
     cm = _load_cost_model(args, inst.alphabet) if args.pipeline in _MCSR_PIPELINES else None
 
@@ -215,7 +215,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     return out, report
 
 
-def _implausible_pct(site_windows, implausible: ImplausibleSet) -> float:
+def _implausible_pct(site_windows, implausible: frozenset[str]) -> float:
     if not site_windows:
         return 0.0
     bad = sum(1 for _i, win in site_windows if win in implausible)

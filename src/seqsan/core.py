@@ -173,9 +173,6 @@ class SanitizationInstance:
             kept.pop(pat, None)
         return kept
 
-    def window(self, i: int) -> str:
-        return self.text[i : i + self.k]
-
 
 def _occurrences(text: str, pattern: str) -> list[int]:
     """Start positions of every occurrence of `pattern`, overlaps included; none if it is empty."""

@@ -7,13 +7,15 @@ estimate per separator), weighted by a substitution model, and solved as a
 multiple-choice knapsack: one choice per separator, minimum total cost,
 total weight at most theta.  Choices that would recreate a sensitive pattern
 are discarded outright, as are choices that would complete a statistically
-implausible window when an implausible set is supplied.  Each separator's
-choices are enumerated once, by `separator_sites`, which checks admissibility
-on the way (an infeasible input fails before any ghost is estimated); the ghost
-estimate and the knapsack read that table.  The input has at least k-1 letters
-between any two separators, as every TFS and PFS output has, so no window of
-the output reaches two junctions: the windows a choice creates are the ones the
-table checked for it, and the knapsack is solved once.
+implausible window when an implausible set is supplied.  Each choice is
+decided once, by `separator_sites`: its table holds a (choice, windows,
+weight) triple per letter and deletion, the weight None when the choice is
+out, and an infeasible input fails before any ghost is estimated.  The ghost
+estimate reads every choice's windows; the knapsack prices the choices with a
+weight.  The input has at least k-1 letters between any two separators, as
+every TFS and PFS output has, so no window of the output reaches two
+junctions: the windows a choice creates are the ones the table checked for
+it, and the knapsack is solved once.
 
 The input's k-mers are counted at most once: a caller that knows them, such
 as the pipelines whose input is a TFS or PFS output, hands them in.  A
@@ -58,20 +60,6 @@ def uniform_cost_model(tau: int, theta: float | None = None) -> CostModel:
     return CostModel(ghost=lambda pos, pat: 1.0, sub=lambda i, choice: 1, theta=theta, tau=tau)
 
 
-@dataclass(frozen=True)
-class GhostCandidateSet:
-    """Patterns below tau in the input that some replacement could lift to tau."""
-
-    entries: dict[str, tuple[int, int]]  # pattern -> (freq_in, max_freq_out)
-    tau: int
-
-    def __contains__(self, pattern: str) -> bool:
-        return pattern in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class MckElement(NamedTuple):
     choice: str  # alphabet letter, or "" for deletion
     cost: float
@@ -82,18 +70,6 @@ class MckElement(NamedTuple):
 class MckInstance:
     classes: tuple[tuple[MckElement, ...], ...]
     capacity: float
-
-
-@dataclass(frozen=True)
-class ImplausibleSet:
-    """Length-k patterns whose plausibility score falls below rho."""
-
-    patterns: frozenset[str]
-    rho: float
-    k: int
-
-    def __contains__(self, pattern: str) -> bool:
-        return pattern in self.patterns
 
 
 @dataclass(frozen=True)
@@ -126,85 +102,76 @@ def _context(text: str, pos: int, k: int) -> tuple[str, str]:
     return left, right
 
 
-Site = tuple[int, list[tuple[str, tuple[str, ...]]]]
+Site = tuple[int, list[tuple[str, tuple[str, ...], float | None]]]
 
 
-def _weigh(cm: CostModel, sensitive, implausible: ImplausibleSet | None, i: int, choice: str, windows) -> float | None:
-    """The knapsack weight of `choice` at separator i, or None if the choice is out."""
-    unsafe = not sensitive.isdisjoint(windows) or (implausible is not None and any(w in implausible for w in windows))
-    weight = None if unsafe else cm.sub(i, choice)
-    return None if weight is None or weight > cm.theta else weight
-
-
-def separator_sites(text: str, k: int, letters: str, weigh: Callable[..., float | None] | None = None) -> list[Site]:
-    """Every separator's choices and the windows each would expose, enumerated once.
+def separator_sites(text: str, k: int, letters: str, cm: CostModel, forbidden: frozenset[str]) -> list[Site]:
+    """Every separator's choices, the windows each would expose and its knapsack weight, decided once.
 
     One entry per separator, left to right: the start in `text` of its context,
-    and a (choice, windows) pair per letter in order, then EPSILON.  The windows
-    are those of `context_string`, so window t starts at source position start + t.
-    `weigh(i, choice, windows)`, if given, returns a choice's knapsack weight or
-    None if it is out; the first separator with no choice left raises Infeasible.
+    and a (choice, windows, weight) triple per letter in order, then EPSILON.
+    The windows are those of `context_string`, so window t starts at source
+    position start + t.  The weight is `cm.sub(i, choice)` for separator i, or
+    None if a window is in `forbidden`, `sub` returns None or the weight is
+    above `cm.theta`.  The first separator whose every weight is None raises
+    Infeasible.
     """
+    if cm.theta is None:
+        raise ValueError("capacity must be resolved before the choices are weighed")
     choices = list(letters) + [EPSILON]
     intern = sys.intern  # the table holds every window of every choice at once: interning keeps it small
     sites: list[Site] = []
     pos = -1
     while (pos := text.find(SEPARATOR, pos + 1)) != -1:
+        i = len(sites) + 1
         left, right = _context(text, pos, k)
-        ctxs = [(c, left + c + right) for c in choices]
-        options = [(c, tuple([intern(ctx[t : t + k]) for t in range(len(ctx) - k + 1)])) for c, ctx in ctxs]
-        if weigh is not None and all(weigh(len(sites) + 1, c, windows) is None for c, windows in options):
-            raise Infeasible(_NO_CHOICE.format(len(sites) + 1))
+        options = []
+        for c in choices:
+            ctx = left + c + right
+            windows = tuple([intern(ctx[t : t + k]) for t in range(len(ctx) - k + 1)])
+            weight = cm.sub(i, c) if forbidden.isdisjoint(windows) else None
+            options.append((c, windows, None if weight is None or weight > cm.theta else weight))
+        if all(weight is None for _c, _windows, weight in options):
+            raise Infeasible(_NO_CHOICE.format(i))
         sites.append((pos - len(left), options))
     return sites
 
 
-def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> GhostCandidateSet:
-    """Worst-case reachable frequencies: per separator, the best single choice.
+def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[str, tuple[int, int]]:
+    """Patterns below tau that some replacement could lift to tau: pattern -> (freq_in, max_freq_out).
 
     max_freq_out(U) adds to U's current frequency, for every separator, the
-    largest number of occurrences of U any one choice there would create.
-    `counts` holds the k-mer counts of the text `sites` was built from.  Only
-    a pattern some choice gains can reach tau from below, so only those are walked.
+    largest number of occurrences of U any one choice there would create, with
+    or without a weight: the estimate is over every choice.  `counts` holds the
+    k-mer counts of the text `sites` was built from.  Only a pattern some
+    choice gains can reach tau from below, so only those are walked.
     """
     gains: Counter[str] = Counter()
     for _start, options in sites:
-        if all(len(set(windows)) == len(windows) for _choice, windows in options):
-            gains.update(set().union(*(windows for _choice, windows in options)))  # every gain is 1
+        if all(len(set(windows)) == len(windows) for _choice, windows, _weight in options):
+            gains.update(set().union(*(windows for _choice, windows, _weight in options)))  # every gain is 1
             continue
         best: dict[str, int] = {}  # per window, its largest count over the choices
-        for _choice, windows in options:
+        for _choice, windows, _weight in options:
             for win in windows:
                 cnt = windows.count(win)  # at most k windows, so a scan beats a Counter
                 if cnt > best.get(win, 0):
                     best[win] = cnt
         gains.update(best)
-    entries = {pat: (low, low + gain) for pat, gain in gains.items() if (low := counts.get(pat, 0)) < tau <= low + gain}
-    return GhostCandidateSet(entries=entries, tau=tau)
+    return {pat: (low, low + gain) for pat, gain in gains.items() if (low := counts.get(pat, 0)) < tau <= low + gain}
 
 
-def build_mck(
-    sites: list[Site],
-    cands: GhostCandidateSet,
-    cm: CostModel,
-    sensitive: frozenset[str] | set[str],
-    implausible: ImplausibleSet | None = None,
-) -> MckInstance:
-    """One knapsack class per separator of `sites`; elements are the surviving choices, with their ghost costs."""
-    if cm.theta is None:
-        raise ValueError("capacity must be resolved before building the knapsack")
+def build_mck(sites: list[Site], cands: dict[str, tuple[int, int]], cm: CostModel) -> MckInstance:
+    """One knapsack class per separator of `sites`; its elements are the choices with a weight, with their ghost costs."""
     classes: list[tuple[MckElement, ...]] = []
-    cand, ghost = cands.entries.keys(), cm.ghost
-    for i, (start, options) in enumerate(sites, start=1):
+    cand, ghost = cands.keys(), cm.ghost
+    for start, options in sites:
         elements: list[MckElement] = []
-        for choice, windows in options:
-            weight = _weigh(cm, sensitive, implausible, i, choice, windows)
+        for choice, windows, weight in options:
             if weight is None:
                 continue
             cost = 0 if cand.isdisjoint(windows) else sum([ghost(start + t, w) for t, w in enumerate(windows) if w in cand])
             elements.append(MckElement(choice, cost, weight))
-        if not elements:
-            raise Infeasible(_NO_CHOICE.format(i))
         classes.append(tuple(elements))
     return MckInstance(classes=tuple(classes), capacity=cm.theta)
 
@@ -294,7 +261,7 @@ def z_score(text: str, pattern: str) -> float:
     return (freq - expected) / max(math.sqrt(expected), 1.0)
 
 
-def implausible_set(text: str, k: int, rho: float, *, counts: Counter[str] | None = None) -> ImplausibleSet:
+def implausible_set(text: str, k: int, rho: float, *, counts: Counter[str] | None = None) -> frozenset[str]:
     """All length-k patterns scoring below rho against `text`.
 
     Only patterns whose two length-(k-1) parts both occur in `text` can score
@@ -331,14 +298,14 @@ def implausible_set(text: str, k: int, rho: float, *, counts: Counter[str] | Non
                 score = (counts_k.get(pattern, 0) - expected) / max(math.sqrt(expected), 1.0)
                 if score < rho:
                     found.add(pattern)
-    return ImplausibleSet(patterns=frozenset(found), rho=rho, k=k)
+    return frozenset(found)
 
 
 def mcsr_sanitize(
     text: str,
     inst: SanitizationInstance,
     cm: CostModel | None = None,
-    implausible: ImplausibleSet | None = None,
+    implausible: frozenset[str] | None = None,
     *,
     counts: Counter[str] | None = None,
 ) -> McsrResult:
@@ -361,16 +328,17 @@ def mcsr_sanitize(
         cm = uniform_cost_model(tau=1)
     if cm.theta is None:
         cm = dc_replace(cm, theta=float(len(parts) - 1))
-    sites = separator_sites(text, k, inst.alphabet.chars, lambda *a: _weigh(cm, inst.sensitive_patterns, implausible, *a))
+    forbidden = inst.sensitive_patterns if implausible is None else inst.sensitive_patterns | implausible
+    sites = separator_sites(text, k, inst.alphabet.chars, cm, forbidden)
     if counts is None:
         counts = kmer_counts(text, k)
     if not sites:
         return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=(), counts=counts)
 
     cands = candidate_ghosts(sites, counts, cm.tau)
-    selection = solve_mck(build_mck(sites, cands, cm, inst.sensitive_patterns, implausible))
+    selection = solve_mck(build_mck(sites, cands, cm))
     choices = tuple(el.choice for el in selection)
-    slot = {choice: j for j, (choice, _windows) in enumerate(sites[0][1])}  # every site lists the choices in one order
+    slot = {choice: j for j, (choice, _windows, _weight) in enumerate(sites[0][1])}  # every site lists the choices in one order
     picked = [options[slot[choice]][1] for (_start, options), choice in zip(sites, choices)]
     site_windows = tuple((i, win) for i, windows in enumerate(picked, start=1) for win in windows)
     counts.update(win for _i, win in site_windows)

@@ -212,7 +212,7 @@ def test_criterion_4_property_suite():
             if zi is not None:
                 checked_mcsri += 1
                 for _site, win in zi.site_windows:
-                    assert win not in imp.patterns
+                    assert win not in imp
 
     assert checked_mcsri >= 50, "too few implausibility-constrained runs exercised"
 

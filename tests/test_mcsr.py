@@ -10,7 +10,6 @@ import seqsan.mcsr as mcsr_mod
 from seqsan import (
     BadK,
     CostModel,
-    GhostCandidateSet,
     Infeasible,
     MckElement,
     MckInstance,
@@ -35,6 +34,11 @@ from conftest import random_instance
 PAPER_Y = "aaacbcbbba#aabaabbacaab"
 
 
+def _table(text, k, letters, forbidden=frozenset()):
+    """The site table under unit weights and no capacity: every choice not exposing a forbidden window has weight 1."""
+    return separator_sites(text, k, letters, uniform_cost_model(tau=1, theta=math.inf), frozenset(forbidden))
+
+
 class TestContextString:
     def test_paper_y_letter_context(self):
         assert context_string(PAPER_Y, 1, "c", 4) == "bbacaab"
@@ -54,15 +58,14 @@ class TestContextString:
 
 class TestCandidateGhosts:
     def test_no_separator_no_candidates(self):
-        assert len(candidate_ghosts(separator_sites("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 2)) == 0
+        assert candidate_ghosts(_table("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 2) == {}
 
     def test_hand_counted_example(self):
-        cands = candidate_ghosts(separator_sites("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 4)
-        assert cands.entries == {"aa": (2, 4)}
-        assert len(candidate_ghosts(separator_sites("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 2)) == 0
+        assert candidate_ghosts(_table("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 4) == {"aa": (2, 4)}
+        assert candidate_ghosts(_table("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 2) == {}
 
     def test_tau_one_absent_but_creatable(self):
-        cands = candidate_ghosts(separator_sites("ab#ba", 2, "ab"), kmer_counts("ab#ba", 2), 1)
+        cands = candidate_ghosts(_table("ab#ba", 2, "ab"), kmer_counts("ab#ba", 2), 1)
         # every freshly creatable window is a candidate at tau=1
         assert "bb" in cands
         assert "ab" not in cands  # already occurs
@@ -76,7 +79,7 @@ class TestCandidateGhosts:
             y = left + "#" + right
             k = 2
             tau = rng.randint(1, 3)
-            cands = candidate_ghosts(separator_sites(y, k, letters), kmer_counts(y, k), tau)
+            cands = candidate_ghosts(_table(y, k, letters), kmer_counts(y, k), tau)
             base = kmer_counts(y, k)
             best = {}
             for ch in list(letters) + [""]:
@@ -131,18 +134,27 @@ def _has_block_of_k_minus_1(y, k):
 
 class TestCandidateGhostsDefinition:
     def test_entries_match_all_keys_definition(self):
+        # The definition walks every choice, so choices without a weight still count.
         rng = random.Random(41)
-        found = 0
+        found = forbidden_found = 0
         for _ in range(400):
             letters = "abcd"[: rng.randint(1, 4)]
             text = _random_separated(rng, letters, 14)
             k = rng.randint(1, 4)
             tau = rng.randint(1, 4)
             want = _ghost_definition(text, k, tau, letters)
-            got = candidate_ghosts(separator_sites(text, k, letters), kmer_counts(text, k), tau)
-            assert got.entries == want, (text, k, tau)
+            every = {w for _start, options in _table(text, k, letters) for _c, windows, _wt in options for w in windows}
+            forbidden = {w for w in sorted(every) if rng.random() < 0.3}
+            try:
+                sites = _table(text, k, letters, forbidden)
+            except Infeasible:
+                sites = _table(text, k, letters)
+            got = candidate_ghosts(sites, kmer_counts(text, k), tau)
+            assert got == want, (text, k, tau)
             found += bool(want)
+            forbidden_found += bool(want) and any(wt is None for _start, opts in sites for _c, _w, wt in opts)
         assert found > 100
+        assert forbidden_found > 50
 
 
 def _separators_and_left_contexts(text, k):
@@ -157,21 +169,52 @@ def _separators_and_left_contexts(text, k):
     return out
 
 
+def _direct_weight(text, i, choice, k, cm, forbidden):
+    """A choice's weight by definition: None if a context window is forbidden, else `sub`, else None above theta."""
+    ctx = context_string(text, i, choice, k)
+    if any(ctx[t : t + k] in forbidden for t in range(len(ctx) - k + 1)):
+        return None
+    weight = cm.sub(i, choice)
+    return None if weight is None or weight > cm.theta else weight
+
+
+_SUBS = (
+    lambda i, c: 1,
+    lambda i, c: None if (i + ord(c or "z")) % 3 == 0 else 1,  # forbids some choices outright
+    lambda i, c: (i + len(c)) % 4,
+)
+
+
 class TestSeparatorSites:
     def test_windows_are_those_of_context_string(self):
+        # Each weight is `_direct_weight` too, and the first separator with none fails the walk.
         rng = random.Random(43)
         seen = Counter()
         for _ in range(600):
             letters = "abcd"[: rng.randint(1, 4)]
+            choices = list(letters) + [""]
             text = _random_separated(rng, letters, 16)
             k = rng.randint(1, 4)
-            sites = separator_sites(text, k, letters)
+            cm = CostModel(ghost=lambda pos, pat: 1.0, sub=rng.choice(_SUBS), theta=float(rng.randint(0, 3)), tau=1)
+            contexts = {context_string(text, i, c, k) for i in range(1, text.count("#") + 1) for c in choices}
+            every = {ctx[t : t + k] for ctx in contexts for t in range(len(ctx) - k + 1)}
+            forbidden = frozenset(w for w in sorted(every) if rng.random() < 0.1)
             expected = _separators_and_left_contexts(text, k)
+            seps = range(1, len(expected) + 1)
+            weights = [[_direct_weight(text, i, c, k, cm, forbidden) for c in choices] for i in seps]
+            blocked = [i for i, ws in enumerate(weights, start=1) if all(w is None for w in ws)]
+            if blocked:
+                with pytest.raises(Infeasible, match=f"no admissible choice for separator {blocked[0]};"):
+                    separator_sites(text, k, letters, cm, forbidden)
+                seen["infeasible"] += 1
+                continue
+            sites = separator_sites(text, k, letters, cm, forbidden)
             assert len(sites) == len(expected), (text, k)
             for i, ((start, options), (pos, left)) in enumerate(zip(sites, expected), start=1):
                 assert start + len(left) == pos, (text, k, i)
-                assert [choice for choice, _ in options] == list(letters) + [""]
-                for choice, windows in options:
+                assert [choice for choice, _, _ in options] == choices
+                assert [weight for _, _, weight in options] == weights[i - 1], (text, k, i)
+                for choice, windows, _weight in options:
                     ctx = context_string(text, i, choice, k)
                     assert list(windows) == [ctx[t : t + k] for t in range(len(ctx) - k + 1)], (text, k, i, choice)
             blocks = text.split("#")
@@ -180,7 +223,20 @@ class TestSeparatorSites:
             seen["adjacent"] += "##" in text
             seen["short block"] += len(blocks) > 1 and any(0 < len(b) < k for b in blocks)
             seen["k = 1"] += k == 1 and len(blocks) > 1
+            seen["no weight"] += any(w is None for ws in weights for w in ws)
+            unbounded = replace(cm, theta=math.inf)
+            uncut = [[_direct_weight(text, i, c, k, unbounded, forbidden) for c in choices] for i in seps]
+            seen["above theta"] += weights != uncut
         assert min(seen.values()) > 20, seen
+
+    def test_infeasible_when_every_choice_unsafe(self):
+        inst = build_instance("abab", 2, patterns=["ba"])
+        with pytest.raises(Infeasible, match="no admissible choice for separator 1;"):
+            separator_sites("ab#ab", 2, "ab", uniform_cost_model(tau=1, theta=1.0), inst.sensitive_patterns)
+
+    def test_unresolved_capacity_is_refused(self):
+        with pytest.raises(ValueError, match="capacity"):
+            separator_sites("ab#ab", 2, "ab", uniform_cost_model(tau=1), frozenset())
 
 
 class TestGhostPositions:
@@ -193,8 +249,8 @@ class TestGhostPositions:
             k = rng.randint(1, 4)
             contexts = {context_string(text, i, c, k) for i in range(1, text.count("#") + 1) for c in list(letters) + [""]}
             every = {ctx[t : t + k] for ctx in contexts for t in range(len(ctx) - k + 1)}
-            sensitive = {w for w in sorted(every) if rng.random() < 0.2}
-            cands = GhostCandidateSet(entries={w: (0, 1) for w in sorted(every) if rng.random() < 0.6}, tau=1)
+            sensitive = frozenset(w for w in sorted(every) if rng.random() < 0.2)
+            cands = {w: (0, 1) for w in sorted(every) if rng.random() < 0.6}
             cm = CostModel(ghost=lambda pos, pat: 1.0 + 10 * pos + len(pat), sub=lambda i, c: 1, theta=100.0, tau=1)
             want = []
             for i, (pos, left) in enumerate(_separators_and_left_contexts(text, k), start=1):
@@ -208,7 +264,7 @@ class TestGhostPositions:
                         elements.append(MckElement(choice, cost, 1))
                 want.append(tuple(elements))
             try:
-                got = build_mck(separator_sites(text, k, letters), cands, cm, sensitive)
+                got = build_mck(separator_sites(text, k, letters, cm, sensitive), cands, cm)
             except Infeasible:
                 assert not all(want), text
                 continue
@@ -290,7 +346,7 @@ def _parent_mcsr(text, inst, cm, implausible, rounds):
             options.append((choice, [ctx[t : t + k] for t in range(len(ctx) - k + 1)]))
         sites.append((pos - len(left), options))
     cands = _ghost_definition(text, k, cm.tau, letters)
-    unsafe = set(inst.sensitive_patterns) | (implausible.patterns if implausible is not None else set())
+    unsafe = set(inst.sensitive_patterns) | (implausible if implausible is not None else set())
     parts = text.split("#")
     banned = set()
     for _ in range(len(sites) * (len(letters) + 1) + 1):
@@ -373,10 +429,34 @@ class TestAgainstTheParentConstruction:
             assert len(parent_rounds) == len(rounds) == (1 if seps else 0), (y, k)
             seen["tau > 1"] += tau > 1 and seps > 0
             seen["theta binds"] += any(sum(max(el.weight for el in c) for c in m.classes) > m.capacity for m in rounds)
-            seen["implausible"] += implausible is not None and bool(implausible.patterns) and seps > 0
+            seen["implausible"] += bool(implausible) and seps > 0
             seen["sub None"] += sub_kind == 1 and seps > 0
             seen["blocks of k-1"] += _has_block_of_k_minus_1(y, k)
         assert min(seen.values()) > 50, seen
+
+    def test_each_choice_is_weighed_once(self):
+        rng = random.Random(47)
+        seen = Counter()
+        for case in range(600):
+            inst = random_instance(rng, n_min=3, n_max=36, ks=(1, 2, 3, 4, 5))
+            k = inst.k
+            y = (tfs_sanitize(inst), pfs_sanitize(inst), _separated_in_contract(rng, inst.alphabet.chars, k))[case % 3]
+            calls = Counter()
+
+            def counted(i, c, sub=rng.choice(_SUBS)):
+                calls[i, c] += 1
+                return sub(i, c)
+
+            theta = float(rng.randint(y.count("#") // 2, 2 * y.count("#"))) if rng.random() < 0.4 else None
+            cm = CostModel(ghost=lambda pos, pat: 1.0, sub=counted, theta=theta, tau=2)
+            implausible = implausible_set(inst.text, k, -0.5) if k > 2 and rng.random() < 0.5 else None
+            try:
+                res = mcsr_sanitize(y, inst, cm, implausible)
+            except Infeasible:
+                continue
+            assert max(calls.values(), default=0) <= 1, (y, k, calls)
+            seen["sites"] += bool(res.choices)
+        assert seen["sites"] > 200, seen
 
     def test_infeasible_input_fails_before_any_ghost_is_estimated(self, monkeypatch):
         def estimate(*args):
@@ -397,26 +477,18 @@ class TestAgainstTheParentConstruction:
 class TestBuildMck:
     def test_forbidden_letters_dropped(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
-        sites = separator_sites(PAPER_Y, 4, "abc")
+        sites = separator_sites(PAPER_Y, 4, "abc", cm, example1.sensitive_patterns)
         cands = candidate_ghosts(sites, kmer_counts(PAPER_Y, 4), 1)
-        inst = build_mck(sites, cands, cm, example1.sensitive_patterns)
+        inst = build_mck(sites, cands, cm)
         choices = {el.choice for el in inst.classes[0]}
         assert "a" not in choices  # bba + a + aab recreates bbaa
         assert "" not in choices  # deleting joins bba|aab, recreating bbaa
         assert "c" in choices
 
-    def test_infeasible_when_every_choice_unsafe(self):
-        inst = build_instance("abab", 2, patterns=["ba"])
-        cm = uniform_cost_model(tau=1, theta=1.0)
-        sites = separator_sites("ab#ab", 2, "ab")
-        cands = candidate_ghosts(sites, kmer_counts("ab#ab", 2), 1)
-        with pytest.raises(Infeasible):
-            build_mck(sites, cands, cm, inst.sensitive_patterns)
-
     def test_zero_cost_when_no_candidates(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
-        empty = candidate_ghosts(separator_sites("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 1)  # no separators: empty
-        inst = build_mck(separator_sites(PAPER_Y, 4, "abc"), empty, cm, example1.sensitive_patterns)
+        empty = candidate_ghosts(_table("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 1)  # no separators: empty
+        inst = build_mck(separator_sites(PAPER_Y, 4, "abc", cm, example1.sensitive_patterns), empty, cm)
         assert all(el.cost == 0 for cls in inst.classes for el in cls)
 
 
@@ -490,14 +562,14 @@ class TestZScore:
 
 class TestImplausibleSet:
     def test_very_negative_rho_empty(self):
-        assert len(implausible_set("abcabcabc", 3, -1e9).patterns) == 0
+        assert implausible_set("abcabcabc", 3, -1e9) == frozenset()
 
     def test_agrees_with_direct_scores(self):
         rng = random.Random(15)
         for _ in range(25):
             text = "".join(rng.choice("ab") for _ in range(rng.randint(10, 30)))
             rho = -rng.random() * 2 - 0.01
-            got = implausible_set(text, 3, rho).patterns
+            got = implausible_set(text, 3, rho)
             want = set()
             for a in "ab":
                 for b in "ab":
@@ -566,7 +638,7 @@ class TestMcsrSanitize:
                 continue
             checked += 1
             for _site, win in res.site_windows:
-                assert win not in imp.patterns
+                assert win not in imp
         assert checked > 10
 
     def test_blocks_of_k_minus_1_letters_are_in_contract(self):
@@ -601,9 +673,9 @@ class TestMcsrSanitize:
             assert z == res.text, (y, k)
             want = [(i, z[s : s + k]) for i, span in enumerate(spans, start=1) for s in span]
             assert list(res.site_windows) == want, (y, k)
-            unsafe = inst.sensitive_patterns | (implausible.patterns if implausible is not None else frozenset())
+            unsafe = inst.sensitive_patterns | (implausible if implausible is not None else frozenset())
             assert unsafe.isdisjoint(win for _i, win in want), (y, k)
             seen["sites"] += bool(spans)
             seen["blocks of k-1"] += _has_block_of_k_minus_1(y, k)
-            seen["implausible"] += implausible is not None and bool(implausible.patterns) and bool(spans)
+            seen["implausible"] += bool(implausible) and bool(spans)
         assert min(seen.values()) >= 50, seen

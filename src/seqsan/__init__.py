@@ -46,15 +46,13 @@ from .metrics import (
     MetricsReport,
     VerifyResult,
     ba_sanitize,
-    distortion,
     edit_distance,
     edre,
-    lost_ghost,
     verify,
     verify_levels,
 )
 from .oracles import OracleBudget, oracle_fo_ssm, oracle_mck, oracle_min_etfs, oracle_min_tfs
-from .pfs import RankPair, fo_ssm, pfs_sanitize, rank_blocks, split_blocks
+from .pfs import RankPair, fo_ssm, pfs_sanitize, rank_blocks
 from .tfs import tfs_sanitize
 
 __version__ = "0.1.0"
@@ -69,7 +67,6 @@ __all__ = [
     "overlap_chains",
     "tfs_sanitize",
     "pfs_sanitize",
-    "split_blocks",
     "rank_blocks",
     "fo_ssm",
     "RankPair",
@@ -92,8 +89,6 @@ __all__ = [
     "SanRegex",
     "MatchResult",
     "ba_sanitize",
-    "distortion",
-    "lost_ghost",
     "edit_distance",
     "edre",
     "verify",

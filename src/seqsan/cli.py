@@ -30,7 +30,7 @@ import sys
 import time
 
 from . import metrics as mt
-from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance
+from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance, kmer_counts
 from .errors import Infeasible, SanitizationError
 from .etfs import etfs_sanitize
 from .mcsr import CostModel, implausible_set, mcsr_sanitize, uniform_cost_model
@@ -161,9 +161,6 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     report = mt.MetricsReport(pipeline=args.pipeline)
     report.lengths["w"] = inst.n
     timings = report.runtimes_ms
-    out = inst.text
-    out_counts = None  # kmer_counts(out, k), when a stage has it already
-    implausible: frozenset[str] | None = None
     # Read before any stage runs, so that a malformed file fails fast.
     cm = _load_cost_model(args, inst.alphabet) if args.pipeline in _MCSR_PIPELINES else None
 
@@ -174,42 +171,38 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         return value
 
     if args.pipeline in ("tfs", "pfs", "tpm", "tm", "tmi", "etfs"):
-        x = timed("tfs", tfs_sanitize, inst)
-        report.lengths["x"] = len(x)
-        # A TFS or PFS output keeps exactly the source's non-sensitive counts.
-        out, out_counts = x, inst.preserved_counts()
+        out = timed("tfs", tfs_sanitize, inst)
+        report.lengths["x"] = len(out)
     if args.pipeline in ("pfs", "tpm"):
-        y = timed("pfs", pfs_sanitize, inst, x)
-        report.lengths["y"] = len(y)
-        out = y
+        out = timed("pfs", pfs_sanitize, inst)
+        report.lengths["y"] = len(out)
+    if args.pipeline in ("tfs", "pfs", "tpm", "tm", "tmi"):
+        # A TFS or PFS output keeps exactly the source's non-sensitive counts.
+        out_counts = inst.preserved_counts()
     if args.pipeline in _MCSR_PIPELINES:
-        if args.pipeline == "tmi":
-            implausible = timed("implausible", implausible_set, inst.text, inst.k, args.rho, counts=inst.counts)
-        result = timed("mcsr", mcsr_sanitize, out, inst, cm, implausible, counts=out_counts)
+        implausible = None if args.rho is None else timed("implausible", implausible_set, inst, args.rho)
+        # tmi avoids the implausible windows; tm and tpm only measure them.
+        avoided = implausible if args.pipeline == "tmi" else None
+        result = timed("mcsr", mcsr_sanitize, out, inst, cm, avoided, counts=out_counts)
         report.lengths["z"] = len(result.text)
         out, out_counts = result.text, result.counts
-        if args.rho is not None:
-            if implausible is None:
-                implausible = implausible_set(inst.text, inst.k, args.rho, counts=inst.counts)
+        if implausible is not None:
             report.implausible_pct = _implausible_pct(result.site_windows, implausible)
     if args.pipeline == "etfs":
         match = timed("etfs", etfs_sanitize, inst)
         report.lengths["xed"] = len(match.text)
         report.edit_distance = match.distance
-        # `out` is the TFS output, the shortest member whose distance started the cut-off.
-        # An optimum of 0 means no window is sensitive, so `out` is the source and edre is 0.
-        report.edre = mt.edre(
-            inst.text, out, match.text, optimal_distance=match.distance, heuristic_distance=match.shortest_distance
-        )
-        out, out_counts = match.text, None
+        # The cut-off starts from the TFS output's distance, the heuristic one that edre compares with the optimum.
+        # An optimum of 0 means no window is sensitive, so the TFS output is the source and edre is 0.
+        report.edre = mt.edre(match.shortest_distance, match.distance)
+        out, out_counts = match.text, kmer_counts(match.text, inst.k)
     if args.pipeline == "ba":
-        out, out_counts = timed("ba", mt.ba_sanitize, inst), None
+        out = timed("ba", mt.ba_sanitize, inst)
         report.lengths["zba"] = len(out)
+        out_counts = kmer_counts(out, inst.k)
 
     report.lengths["output"] = len(out)
-    report.distortion, lost, ghost = mt.frequency_changes(
-        inst.text, out, inst.k, args.tau, inst.sensitive_patterns, source_counts=inst.counts, output_counts=out_counts
-    )
+    report.distortion, lost, ghost = mt.frequency_changes(inst.counts, out_counts, args.tau, inst.sensitive_patterns)
     report.lost = sorted(lost)
     report.ghost = sorted(ghost)
     return out, report

@@ -261,19 +261,20 @@ def z_score(text: str, pattern: str) -> float:
     return (freq - expected) / max(math.sqrt(expected), 1.0)
 
 
-def implausible_set(text: str, k: int, rho: float, *, counts: Counter[str] | None = None) -> frozenset[str]:
-    """All length-k patterns scoring below rho against `text`.
+def implausible_set(inst: SanitizationInstance, rho: float) -> frozenset[str]:
+    """All length-k patterns scoring below rho against the source text of `inst`.
 
-    Only patterns whose two length-(k-1) parts both occur in `text` can score
-    negatively, so enumeration composes observed parts instead of walking the
-    full alphabet power.  `counts`, if given, must equal `kmer_counts(text, k)`;
-    it is not modified.
+    Only patterns whose two length-(k-1) parts both occur in the text can
+    score negatively, so enumeration composes observed parts instead of
+    walking the full alphabet power.  The k-mer counts are the instance's
+    own, `inst.counts`, and are not modified.
     """
+    text, k = inst.text, inst.k
     if k <= 2:
         raise BadK(f"implausibility needs k > 2, got {k}")
     if rho >= 0:
         raise ValueError(f"rho must be negative, got {rho}")
-    counts_k = kmer_counts(text, k) if counts is None else counts
+    counts_k = inst.counts
     counts_km1 = kmer_counts(text, k - 1)
     counts_km2 = kmer_counts(text, k - 2)
 

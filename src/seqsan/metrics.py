@@ -1,5 +1,8 @@
 """Baseline sanitizer, utility metrics, and the property verifiers.
 
+The utility metrics take what the stages measured, not strings:
+`frequency_changes` compares two k-mer counts and `edre` two edit distances.
+
 The verifiers are the shared ground truth for tests and the CLI.  Levels:
 
   C1   no separator-free window equals a sensitive pattern
@@ -250,63 +253,35 @@ def ba_sanitize(inst: SanitizationInstance) -> str:
 
 
 def frequency_changes(
-    source: str,
-    output: str,
-    k: int,
+    source: Counter[str],
+    output: Counter[str],
     tau: int,
     sensitive: frozenset[str] | set[str] = frozenset(),
-    *,
-    source_counts: Counter[str] | None = None,
-    output_counts: Counter[str] | None = None,
 ) -> tuple[float, set[str], set[str]]:
-    """`distortion` and `lost_ghost` from one pair of k-mer counts and one walk of the patterns whose counts differ.
+    """Distortion, lost and ghost patterns between the k-mer counts of a source and of its sanitized output.
 
-    A pattern with the same count in both strings adds no distortion and
-    crosses no threshold.  `source_counts`, if given, must equal
-    `kmer_counts(source, k)`, and `output_counts`, if given, must equal
-    `kmer_counts(output, k)`.  Neither is modified.
+    Distortion is the sum of squared count changes; a lost pattern falls from
+    at least tau to below it, a ghost rises from below tau to at least tau.
+    Sensitive patterns are excluded: concealing them is the point, not a
+    defect.  Only the patterns whose counts differ are walked, since a pattern
+    with the same count in both adds no distortion and crosses no threshold.
+    Neither count is modified.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    want = kmer_counts(source, k) if source_counts is None else source_counts
-    got = kmer_counts(output, k) if output_counts is None else output_counts
     total = 0.0
     lost = set()
     ghost = set()
-    for pat in {pat for pat, _count in want.items() ^ got.items()}:
+    for pat in {pat for pat, _count in source.items() ^ output.items()}:
         if pat in sensitive:
             continue
-        before, after = want[pat], got[pat]
+        before, after = source[pat], output[pat]
         total += (before - after) ** 2
         if before >= tau > after:
             lost.add(pat)
         elif before < tau <= after:
             ghost.add(pat)
     return total, lost, ghost
-
-
-def distortion(source: str, output: str, k: int, sensitive: frozenset[str] | set[str] = frozenset()) -> float:
-    """Sum of squared frequency changes over non-sensitive patterns.
-
-    Patterns are drawn from the union of windows occurring in either string;
-    sensitive patterns are excluded (their removal is the point, not noise).
-    """
-    return frequency_changes(source, output, k, 1, sensitive)[0]
-
-
-def lost_ghost(
-    source: str,
-    output: str,
-    k: int,
-    tau: int,
-    sensitive: frozenset[str] | set[str] = frozenset(),
-) -> tuple[set[str], set[str]]:
-    """Patterns crossing the frequency threshold tau downward / upward.
-
-    Sensitive patterns are excluded: losing them is the mandate, not a defect.
-    """
-    _total, lost, ghost = frequency_changes(source, output, k, tau, sensitive)
-    return lost, ghost
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -342,24 +317,10 @@ def edit_distance(a: str, b: str) -> int:
         t = 2 * t + 1
 
 
-def edre(
-    source: str,
-    heuristic_output: str,
-    optimal_output: str,
-    *,
-    optimal_distance: int | None = None,
-    heuristic_distance: int | None = None,
-) -> float:
-    """Relative excess of the heuristic's edit distance over the optimum.
-
-    `optimal_distance`, if given, must be `edit_distance(source, optimal_output)`,
-    and `heuristic_distance`, if given, `edit_distance(source, heuristic_output)`,
-    as the closest-output construction reports them.
-    """
-    d_opt = edit_distance(source, optimal_output) if optimal_distance is None else optimal_distance
-    d_heu = edit_distance(source, heuristic_output) if heuristic_distance is None else heuristic_distance
-    if d_opt == 0:
-        if d_heu == 0:
+def edre(heuristic: int, optimal: int) -> float:
+    """Relative excess of a heuristic output's edit distance from the source over the optimal output's distance."""
+    if optimal == 0:
+        if heuristic == 0:
             return 0.0
         raise UndefinedWhenZero("optimal edit distance is zero but heuristic distance is not")
-    return (d_heu - d_opt) / d_opt
+    return (heuristic - optimal) / optimal

@@ -1,7 +1,8 @@
 """Shorter sanitized string: preserve overlap chains, not the total order.
 
-The total-order output decomposes into blocks at its separators.  Blocks may
-be reordered freely (their relative order was interrupted by sensitive
+The total-order output's blocks, between its separators, are the source's
+overlap chains, so the blocks are read from `inst.chains`.  Blocks may be
+reordered freely (their relative order was interrupted by sensitive
 material anyway), and any block whose length-(k-1) prefix equals another
 block's length-(k-1) suffix can absorb it, dropping one separator and k-1
 duplicated letters.  Finding the arrangement with the most such absorptions
@@ -23,7 +24,6 @@ from typing import NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance
 from .errors import BlockTooShort
-from .tfs import tfs_sanitize
 
 
 class RankPair(NamedTuple):
@@ -32,13 +32,6 @@ class RankPair(NamedTuple):
     block_id: int
     prefix_rank: int
     suffix_rank: int
-
-
-def split_blocks(text: str) -> list[str]:
-    """Blocks of a sanitized string, in order; empty input has no blocks."""
-    if not text:
-        return []
-    return text.split(SEPARATOR)
 
 
 def rank_blocks(blocks: list[str], ell: int) -> list[RankPair]:
@@ -164,13 +157,11 @@ def assemble(blocks: list[str], ordering: list[list[int]], ell: int) -> str:
     return SEPARATOR.join(chunks)
 
 
-def pfs_sanitize(inst: SanitizationInstance, x: str | None = None) -> str:
-    """Shortest chain- and frequency-preserving sanitized string; `x` is its TFS output if already built."""
-    if x is None:
-        x = tfs_sanitize(inst)
-    if SEPARATOR not in x:
-        return x
-    blocks = split_blocks(x)
+def pfs_sanitize(inst: SanitizationInstance) -> str:
+    """Shortest chain- and frequency-preserving sanitized string, built from the instance's overlap chains."""
+    blocks = inst.chains
+    if len(blocks) < 2:
+        return SEPARATOR.join(blocks)
     ell = inst.k - 1
     pairs = rank_blocks(blocks, ell)
     ordering = fo_ssm(pairs)

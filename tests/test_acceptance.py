@@ -18,13 +18,11 @@ from seqsan import (
     build_instance,
     ba_sanitize,
     contains_sensitive,
-    distortion,
     edit_distance,
     etfs_sanitize,
     fo_ssm,
     implausible_set,
     kmer_counts,
-    lost_ghost,
     mcsr_sanitize,
     oracle_fo_ssm,
     oracle_mck,
@@ -37,6 +35,7 @@ from seqsan import (
     verify,
     verify_levels,
 )
+from seqsan.metrics import frequency_changes
 from seqsan.pfs import RankPair
 
 LETTERS = "abcdefghij"
@@ -194,7 +193,7 @@ def test_criterion_4_property_suite():
             after = kmer_counts(z.text, inst.k)
             for pat, cnt in before.items():
                 assert after[pat] >= cnt, "a window count dropped across replacement"
-            lost, _ghost = lost_ghost(y, z.text, inst.k, tau)
+            _distortion, lost, _ghost = frequency_changes(before, after, tau)
             assert lost == set()
 
         res = etfs_sanitize(inst)
@@ -204,7 +203,7 @@ def test_criterion_4_property_suite():
             assert chk.ok, (inst.text, inst.k, chk)
 
         if idx % 5 == 0 and inst.k > 2:
-            imp = implausible_set(inst.text, inst.k, -0.5)
+            imp = implausible_set(inst, -0.5)
             try:
                 zi = mcsr_sanitize(x, inst, uniform_cost_model(tau=tau), implausible=imp)
             except Infeasible:
@@ -235,18 +234,16 @@ def test_criterion_5_synthetic_vs_baseline():
         y = pfs_sanitize(inst)
         z = mcsr_sanitize(y, inst, uniform_cost_model(tau=tau)).text
         assert not contains_sensitive(z, inst)
-        lost_tpm, _ = lost_ghost(text, z, k, tau, inst.sensitive_patterns)
+        distortion_tpm, lost_tpm, _ = frequency_changes(inst.counts, kmer_counts(z, k), tau, inst.sensitive_patterns)
         tpm_lost_counts.append(len(lost_tpm))
 
         z_ba = ba_sanitize(inst)
         assert not contains_sensitive(z_ba, inst)
-        lost_ba, _ = lost_ghost(text, z_ba, k, tau, inst.sensitive_patterns)
+        distortion_ba, lost_ba, _ = frequency_changes(inst.counts, kmer_counts(z_ba, k), tau, inst.sensitive_patterns)
         if lost_ba:
             ba_has_lost += 1
 
-        if distortion(text, z, k, inst.sensitive_patterns) < distortion(
-            text, z_ba, k, inst.sensitive_patterns
-        ):
+        if distortion_tpm < distortion_ba:
             tpm_wins_distortion += 1
 
     assert tpm_lost_counts == [0] * 10, f"threshold losses must never happen: {tpm_lost_counts}"

@@ -88,7 +88,7 @@ def test_implausible_pct_counts_the_implausible_site_windows(tmp_path, seed):
     p = write(tmp_path / "p.txt", "".join(pat + "\n" for pat in sorted(inst.sensitive_patterns)))
     # Counted directly: the share of MCSR's realized site windows that are implausible.
     site_windows = mcsr_sanitize(tfs_sanitize(inst), inst).site_windows
-    implausible = implausible_set(inst.text, inst.k, -0.5)
+    implausible = implausible_set(inst, -0.5)
     bad = sum(win in implausible for _i, win in site_windows)
     assert bad > 0
     # tm lets MCSR pick implausible windows and only measures them; tmi avoids them.
@@ -357,7 +357,7 @@ def test_source_is_counted_once(example1_files, monkeypatch, pipeline):
     assert calls == [("aabaaacbcbbbaabbacaab", 4)]
 
 
-@pytest.mark.parametrize("pipeline", ["tmi", "tpm"])
+@pytest.mark.parametrize("pipeline", ["tmi", "tpm", "tm"])
 def test_implausible_set_reuses_the_source_counts(example1_files, monkeypatch, pipeline):
     w, p, tmp = example1_files
     calls = _count_calls(monkeypatch)
@@ -366,6 +366,8 @@ def test_implausible_set_reuses_the_source_counts(example1_files, monkeypatch, p
     assert main(argv) == EXIT_OK
     text = "aabaaacbcbbbaabbacaab"
     assert calls == [(text, 4), (text, 3), (text, 2)]
+    # The set is built once, before the knapsack, and timed.
+    assert sum(line.startswith("runtime_ms_implausible=") for line in (tmp / "rep.txt").read_text().splitlines()) == 1
 
 
 def test_etfs_measures_the_tfs_output_once(example1_files, monkeypatch):

@@ -5,12 +5,10 @@ import pytest
 
 from seqsan import (
     SanRegex,
-    UndefinedWhenZero,
     approx_regex_match,
     build_instance,
     build_regex,
     edit_distance,
-    edre,
     etfs_sanitize,
     tfs_sanitize,
     verify,
@@ -265,14 +263,9 @@ class TestEtfsSanitize:
         for _ in range(60):
             inst = random_instance(rng, n_min=6, n_max=30)
             res = etfs_sanitize(inst)
-            x = tfs_sanitize(inst)
-            try:
-                want = edre(inst.text, x, res.text)
-            except UndefinedWhenZero:
-                with pytest.raises(UndefinedWhenZero):
-                    edre(inst.text, x, res.text, optimal_distance=res.distance)
-                continue
-            assert edre(inst.text, x, res.text, optimal_distance=res.distance) == want
+            # The two distances edre takes: the TFS output's, the cut-off's bound, and the optimum's.
+            assert res.shortest_distance == edit_distance(inst.text, tfs_sanitize(inst))
+            assert res.distance == edit_distance(inst.text, res.text)
 
 
 class TestComplexityEnvelope:

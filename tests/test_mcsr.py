@@ -289,7 +289,7 @@ class TestResultCounts:
                 y = _separated_in_contract(rng, inst.alphabet.chars, k)
             else:
                 y = inst.text
-            implausible = implausible_set(inst.text, k, -0.5) if k > 2 and rng.random() < 0.3 else None
+            implausible = implausible_set(inst, -0.5) if k > 2 and rng.random() < 0.3 else None
             try:
                 res = mcsr_sanitize(y, inst, uniform_cost_model(tau=rng.randint(1, 3)), implausible)
             except Infeasible:
@@ -409,7 +409,7 @@ class TestAgainstTheParentConstruction:
             cm = CostModel(ghost=lambda pos, pat: 1.0 + pos % 3 / 2, sub=sub, theta=theta, tau=tau)
             implausible = None
             if k > 2 and rng.random() < 0.6:
-                implausible = implausible_set(inst.text, k, rng.choice((-0.3, -0.5, -1.0)))
+                implausible = implausible_set(inst, rng.choice((-0.3, -0.5, -1.0)))
             rounds.clear()
             parent_rounds = []
             try:
@@ -449,7 +449,7 @@ class TestAgainstTheParentConstruction:
 
             theta = float(rng.randint(y.count("#") // 2, 2 * y.count("#"))) if rng.random() < 0.4 else None
             cm = CostModel(ghost=lambda pos, pat: 1.0, sub=counted, theta=theta, tau=2)
-            implausible = implausible_set(inst.text, k, -0.5) if k > 2 and rng.random() < 0.5 else None
+            implausible = implausible_set(inst, -0.5) if k > 2 and rng.random() < 0.5 else None
             try:
                 res = mcsr_sanitize(y, inst, cm, implausible)
             except Infeasible:
@@ -562,14 +562,14 @@ class TestZScore:
 
 class TestImplausibleSet:
     def test_very_negative_rho_empty(self):
-        assert implausible_set("abcabcabc", 3, -1e9) == frozenset()
+        assert implausible_set(build_instance("abcabcabc", 3), -1e9) == frozenset()
 
     def test_agrees_with_direct_scores(self):
         rng = random.Random(15)
         for _ in range(25):
             text = "".join(rng.choice("ab") for _ in range(rng.randint(10, 30)))
             rho = -rng.random() * 2 - 0.01
-            got = implausible_set(text, 3, rho)
+            got = implausible_set(build_instance(text, 3), rho)
             want = set()
             for a in "ab":
                 for b in "ab":
@@ -581,9 +581,9 @@ class TestImplausibleSet:
 
     def test_rho_zero_rejected(self):
         with pytest.raises(ValueError):
-            implausible_set("abcabc", 3, 0.0)
+            implausible_set(build_instance("abcabc", 3), 0.0)
         with pytest.raises(BadK):
-            implausible_set("abcabc", 2, -1.0)
+            implausible_set(build_instance("abcabc", 2), -1.0)
 
 
 class TestMcsrSanitize:
@@ -630,7 +630,7 @@ class TestMcsrSanitize:
         checked = 0
         for _ in range(60):
             inst = random_instance(rng, n_min=20, n_max=60, sigmas=(3, 4), ks=(3, 4))
-            imp = implausible_set(inst.text, inst.k, -0.5)
+            imp = implausible_set(inst, -0.5)
             x = tfs_sanitize(inst)
             try:
                 res = mcsr_sanitize(x, inst, uniform_cost_model(tau=2), implausible=imp)
@@ -664,7 +664,7 @@ class TestMcsrSanitize:
             inst = random_instance(rng, n_min=3, n_max=36, ks=(1, 2, 3, 4, 5))
             k = inst.k
             y = (tfs_sanitize(inst), pfs_sanitize(inst), _separated_in_contract(rng, inst.alphabet.chars, k))[case % 3]
-            implausible = implausible_set(inst.text, k, -0.5) if k > 2 and rng.random() < 0.5 else None
+            implausible = implausible_set(inst, -0.5) if k > 2 and rng.random() < 0.5 else None
             try:
                 res = mcsr_sanitize(y, inst, uniform_cost_model(tau=rng.randint(1, 3)), implausible)
             except Infeasible:

@@ -8,11 +8,9 @@ from seqsan import (
     ba_sanitize,
     build_instance,
     contains_sensitive,
-    distortion,
     edit_distance,
     edre,
     kmer_counts,
-    lost_ghost,
     pfs_sanitize,
     tfs_sanitize,
     verify,
@@ -47,16 +45,21 @@ class TestBaSanitize:
             assert len(out) == inst.n  # in-place rewrites only
 
 
+def _changes(source, output, k, tau=1, sensitive=frozenset()):
+    """`frequency_changes` of two strings, through their k-mer counts."""
+    return frequency_changes(kmer_counts(source, k), kmer_counts(output, k), tau, sensitive)
+
+
 class TestDistortion:
     def test_zero_on_frequency_preservation(self, example1):
-        assert distortion(example1.text, tfs_sanitize(example1), 4, example1.sensitive_patterns) == 0
+        assert _changes(example1.text, tfs_sanitize(example1), 4, sensitive=example1.sensitive_patterns)[0] == 0
 
     def test_hand_counted(self):
-        assert distortion("aaa", "aab", 2) == 2
+        assert _changes("aaa", "aab", 2)[0] == 2
 
     def test_matches_recomputation(self, example1):
         y = pfs_sanitize(example1)
-        got = distortion(example1.text, y, 4, example1.sensitive_patterns)
+        got = _changes(example1.text, y, 4, sensitive=example1.sensitive_patterns)[0]
         want = kmer_counts(example1.text, 4)
         have = kmer_counts(y, 4)
         manual = sum(
@@ -94,9 +97,9 @@ def test_metrics_agree_with_naive_position_scan(example1):
             for p in set(want) | set(got)
             if p not in inst.sensitive_patterns
         )
-        assert manual_distortion == distortion(inst.text, out, k, inst.sensitive_patterns)
         tau = rng.randint(1, 3)
-        lost, ghost = lost_ghost(inst.text, out, k, tau, inst.sensitive_patterns)
+        distortion, lost, ghost = _changes(inst.text, out, k, tau, inst.sensitive_patterns)
+        assert manual_distortion == distortion
         manual_lost = {
             p
             for p in set(want) | set(got)
@@ -129,6 +132,7 @@ def _union_of_keys_changes(source, output, k, tau, sensitive):
 
 
 def test_frequency_changes_with_and_without_output_counts():
+    # Every output is measured on its recount; TFS, PFS and MCSR outputs also on the counts their stage produced.
     from seqsan import mcsr_sanitize, uniform_cost_model
 
     rng = random.Random(32)
@@ -140,40 +144,42 @@ def test_frequency_changes_with_and_without_output_counts():
         mutated = list(inst.text)
         for _ in range(rng.randint(1, 3)):
             mutated[rng.randrange(len(mutated))] = rng.choice(letters + "#")
+        y = pfs_sanitize(inst)
         outputs = [
-            inst.text,
-            tfs_sanitize(inst),
-            pfs_sanitize(inst),
-            "".join(mutated),
-            "".join(rng.choice(letters + "#") for _ in range(rng.randint(0, 20))),
+            (inst.text, inst.counts),
+            (tfs_sanitize(inst), inst.preserved_counts()),
+            (y, inst.preserved_counts()),
+            ("".join(mutated), None),
+            ("".join(rng.choice(letters + "#") for _ in range(rng.randint(0, 20))), None),
         ]
         try:
-            outputs.append(mcsr_sanitize(outputs[2], inst, uniform_cost_model(tau=2)).text)
+            z = mcsr_sanitize(y, inst, uniform_cost_model(tau=2), counts=inst.preserved_counts())
+            outputs.append((z.text, z.counts))
         except Infeasible:
             pass
-        for out in outputs:
+        for out, stage_counts in outputs:
             tau = rng.randint(1, 3)
             want = _union_of_keys_changes(inst.text, out, k, tau, inst.sensitive_patterns)
-            assert frequency_changes(inst.text, out, k, tau, inst.sensitive_patterns) == want
-            got = frequency_changes(inst.text, out, k, tau, inst.sensitive_patterns, output_counts=kmer_counts(out, k))
-            assert got == want
+            assert frequency_changes(inst.counts, kmer_counts(out, k), tau, inst.sensitive_patterns) == want
+            if stage_counts is not None:
+                assert frequency_changes(inst.counts, stage_counts, tau, inst.sensitive_patterns) == want
             changed += want[0] > 0
     assert changed > 500  # the sweep must reach outputs whose counts differ
 
 
 class TestLostGhost:
     def test_preserving_output_has_neither(self, example1):
-        lost, ghost = lost_ghost(example1.text, tfs_sanitize(example1), 4, 1, example1.sensitive_patterns)
+        _total, lost, ghost = _changes(example1.text, tfs_sanitize(example1), 4, 1, example1.sensitive_patterns)
         assert lost == set() and ghost == set()
 
     def test_hand_counted(self):
-        lost, ghost = lost_ghost("abab", "abaa", 2, 2)
+        _total, lost, ghost = _changes("abab", "abaa", 2, 2)
         assert lost == {"ab"}
         assert ghost == set()
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):
-            lost_ghost("ab", "ab", 1, 0)
+            _changes("ab", "ab", 1, 0)
 
 
 class TestEditDistance:
@@ -210,17 +216,18 @@ class TestEditDistance:
 
 class TestEdre:
     def test_zero_when_equal(self):
-        assert edre("abc", "abd", "abd") == 0.0
+        assert edre(edit_distance("abc", "abd"), edit_distance("abc", "abd")) == 0.0
 
     def test_example_ratios(self):
         w = "aaabbaabaccbbb"
-        assert edre(w, "aaabaccb#cbbb", "aaab#aabaccb#cbbb") == pytest.approx(0.25)
-        assert edre("aaaaaab", "", "aaa#aab") == pytest.approx(6.0)
+        assert edre(edit_distance(w, "aaabaccb#cbbb"), edit_distance(w, "aaab#aabaccb#cbbb")) == pytest.approx(0.25)
+        assert edre(edit_distance("aaaaaab", ""), edit_distance("aaaaaab", "aaa#aab")) == pytest.approx(6.0)
+        assert edre(5, 4) == pytest.approx(0.25)
 
     def test_undefined_when_reference_zero(self):
         with pytest.raises(UndefinedWhenZero):
-            edre("abc", "abd", "abc")
-        assert edre("abc", "abc", "abc") == 0.0
+            edre(1, 0)
+        assert edre(0, 0) == 0.0
 
 
 class TestVerify:

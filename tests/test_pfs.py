@@ -12,7 +12,6 @@ from seqsan import (
     fo_ssm,
     pfs_sanitize,
     rank_blocks,
-    split_blocks,
     tfs_sanitize,
     verify,
     verify_levels,
@@ -20,18 +19,6 @@ from seqsan import (
 from seqsan.oracles import oracle_fo_ssm
 from seqsan.pfs import assemble
 from conftest import random_instance
-
-
-class TestSplitBlocks:
-    def test_example1(self, example1):
-        x = tfs_sanitize(example1)
-        assert split_blocks(x) == ["aabaa", "aaacbcbbba", "baabbacaab"]
-
-    def test_no_separator(self):
-        assert split_blocks("abc") == ["abc"]
-
-    def test_empty(self):
-        assert split_blocks("") == []
 
 
 class TestRankBlocks:
@@ -212,10 +199,16 @@ class TestFoSsmAgainstRescanning:
             pairs = _cycles_through_a_trail(length)
             times = []
             for _ in range(3):
-                gc.collect()  # no full collection of the suite's objects inside a timing
-                start = time.perf_counter()
-                ordering = fo_ssm(pairs)
-                times.append(time.perf_counter() - start)
+                gc.collect()
+                enabled = gc.isenabled()
+                gc.disable()  # no collection inside a timing, as timeit does
+                try:
+                    start = time.perf_counter()
+                    ordering = fo_ssm(pairs)
+                    times.append(time.perf_counter() - start)
+                finally:
+                    if enabled:
+                        gc.enable()
             assert len(ordering) == 1 and len(ordering[0]) == 3 * length
             return min(times)
 
@@ -224,7 +217,27 @@ class TestFoSsmAgainstRescanning:
         assert large <= 2.5**3 * small, (small, large)  # three doublings; the rescanning loop grows 4x per doubling
 
 
+def _pfs_of_the_split_tfs_output(inst):
+    """PFS built from the TFS output's blocks, split at its separators, as before it read `inst.chains`."""
+    x = tfs_sanitize(inst)
+    if "#" not in x:
+        return x
+    blocks = x.split("#")
+    ell = inst.k - 1
+    return assemble(blocks, fo_ssm(rank_blocks(blocks, ell)), ell)
+
+
 class TestPfsSanitize:
+    def test_equals_the_construction_from_the_split_tfs_output(self):
+        rng = random.Random(34)
+        by_chains = Counter()
+        for trial in range(3000):
+            rate = rng.uniform(0.05, 0.5) if trial % 3 else float(trial % 2)  # a third have none or all sensitive
+            inst = random_instance(rng, n_min=4, n_max=40, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5), sensitive_rate=rate)
+            assert pfs_sanitize(inst) == _pfs_of_the_split_tfs_output(inst), (inst.text, inst.k, inst.sensitive_patterns)
+            by_chains[min(len(inst.chains), 2)] += 1
+        assert min(by_chains[0], by_chains[1], by_chains[2]) > 500, by_chains  # no chain, one chain, several
+
     def test_example2_length_and_verifiers(self, example1):
         y = pfs_sanitize(example1)
         assert len(y) == 23

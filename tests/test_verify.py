@@ -96,7 +96,7 @@ def _mutate(rng, s, letters):
 def _candidates(rng, inst):
     """Sanitizer outputs, their perturbations, the source and random strings."""
     x = tfs_sanitize(inst)
-    y = pfs_sanitize(inst, x)
+    y = pfs_sanitize(inst)
     out = [x, y, inst.text, "", "#"]
     try:
         out.append(mcsr_sanitize(y, inst, uniform_cost_model(tau=rng.randint(1, 3))).text)

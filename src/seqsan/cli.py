@@ -28,6 +28,7 @@ import re
 import string
 import sys
 import time
+from collections import Counter
 
 from . import metrics as mt
 from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance, kmer_counts
@@ -176,16 +177,17 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
     if args.pipeline in ("pfs", "tpm"):
         out = timed("pfs", pfs_sanitize, inst)
         report.lengths["y"] = len(out)
-    if args.pipeline in ("tfs", "pfs", "tpm", "tm", "tmi"):
-        # A TFS or PFS output keeps exactly the source's non-sensitive counts.
-        out_counts = inst.preserved_counts()
+    if args.pipeline in ("tfs", "pfs"):
+        # A TFS or PFS output keeps every non-sensitive count of the source (P2), the only counts measured.
+        before = after = Counter()
     if args.pipeline in _MCSR_PIPELINES:
         implausible = None if args.rho is None else timed("implausible", implausible_set, inst, args.rho)
         # tmi avoids the implausible windows; tm and tpm only measure them.
         avoided = implausible if args.pipeline == "tmi" else None
-        result = timed("mcsr", mcsr_sanitize, out, inst, cm, avoided, counts=out_counts)
+        result = timed("mcsr", mcsr_sanitize, out, inst, cm, avoided)
         report.lengths["z"] = len(result.text)
-        out, out_counts = result.text, result.counts
+        # The rewrite's input has the source's non-sensitive counts, so only the patterns it added changed.
+        out, (before, after) = result.text, result.changed_counts()
         if implausible is not None:
             report.implausible_pct = _implausible_pct(result.site_windows, implausible)
     if args.pipeline == "etfs":
@@ -195,14 +197,14 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         # The cut-off starts from the TFS output's distance, the heuristic one that edre compares with the optimum.
         # An optimum of 0 means no window is sensitive, so the TFS output is the source and edre is 0.
         report.edre = mt.edre(match.shortest_distance, match.distance)
-        out, out_counts = match.text, kmer_counts(match.text, inst.k)
+        out, before, after = match.text, inst.counts, kmer_counts(match.text, inst.k)
     if args.pipeline == "ba":
         out = timed("ba", mt.ba_sanitize, inst)
         report.lengths["zba"] = len(out)
-        out_counts = kmer_counts(out, inst.k)
+        before, after = inst.counts, kmer_counts(out, inst.k)
 
     report.lengths["output"] = len(out)
-    report.distortion, lost, ghost = mt.frequency_changes(inst.counts, out_counts, args.tau, inst.sensitive_patterns)
+    report.distortion, lost, ghost = mt.frequency_changes(before, after, args.tau, inst.sensitive_patterns)
     report.lost = sorted(lost)
     report.ghost = sorted(ghost)
     return out, report

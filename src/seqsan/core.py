@@ -13,7 +13,7 @@ windows, once per instance (`chains`).  The TFS output (the chains joined by
 
 An instance counts its k-mers once, on first use (`counts`).  Every TFS and
 PFS output has `preserved_counts()` as its k-mer counts, so no stage counts
-such a string again.
+such a string; MCSR counts its input only on the patterns a choice exposes.
 
 Sequences are handled internally as plain Python strings over an encoded
 alphabet.  Char mode keeps input characters as-is; token mode maps arbitrary
@@ -191,6 +191,11 @@ def _windows(text: str, k: int) -> Iterator[str]:
             yield block[i : i + k]
 
 
+def _letter_windows(text: str, k: int) -> Iterator[tuple[str, ...]]:
+    """Every length-k window of `text` as a k-tuple of letters, which zip builds two to three times faster than slicing."""
+    return zip(*(islice(text, j, None) for j in range(k)))
+
+
 def build_instance(
     text: str,
     k: int,
@@ -226,9 +231,8 @@ def build_instance(
         wanted.add(text[pos : pos + k])
 
     # One lookup per window; every occurrence of a wanted pattern is marked, which is the closure.
-    # Windows are looked up as k-tuples of letters, which zip builds two to three times faster than slicing.
     wanted_letters = {tuple(pat) for pat in wanted}
-    mask = bytearray(map(wanted_letters.__contains__, zip(*(islice(text, j, None) for j in range(k)))))
+    mask = bytearray(map(wanted_letters.__contains__, _letter_windows(text, k)))
     sens_positions = frozenset(compress(range(n - k + 1), mask))
     sens_patterns = {text[i : i + k] for i in sens_positions}
     for pat in sorted(wanted - sens_patterns):

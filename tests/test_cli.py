@@ -1,10 +1,12 @@
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from seqsan import cli, core, implausible_set, mcsr_sanitize, metrics, tfs_sanitize
+from seqsan import Infeasible, cli, core, implausible_set, kmer_counts, mcsr_sanitize, metrics, pfs_sanitize, tfs_sanitize
+from seqsan.metrics import frequency_changes
 from seqsan.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, main
 from conftest import random_instance
 
@@ -346,15 +348,71 @@ def _count_calls(monkeypatch, original=core.kmer_counts):
     return calls
 
 
+def _record_instances(monkeypatch):
+    """Keep every instance the CLI parses."""
+    built = []
+    parse = cli.parse_inputs
+    monkeypatch.setattr(cli, "parse_inputs", lambda args: built.append(parse(args)) or built[-1])
+    return built
+
+
 @pytest.mark.parametrize("pipeline", ["tpm", "tm", "tfs", "pfs"])
-def test_source_is_counted_once(example1_files, monkeypatch, pipeline):
+def test_source_is_never_counted(example1_files, monkeypatch, pipeline):
     w, p, tmp = example1_files
     calls = _count_calls(monkeypatch)
+    built = _record_instances(monkeypatch)
     argv = ["sanitize", "--pipeline", pipeline, "--k", "4", "--tau", "1", "--in", w, "--patterns", p,
             "--out", str(tmp / "z.txt"), "--report", str(tmp / "rep.txt")]
     assert main(argv) == EXIT_OK
-    # The counts of the TFS or PFS output and of the MCSR output derive from the source's.
-    assert calls == [("aabaaacbcbbbaabbacaab", 4)]
+    # A TFS or PFS output keeps the source's non-sensitive counts; MCSR counts its input only on what it can expose.
+    assert calls == []
+    assert len(built) == 1 and "counts" not in built[0].__dict__
+
+
+def test_infeasible_input_fails_before_any_count(tmp_path, monkeypatch):
+    w = write(tmp_path / "w.txt", "abab\n")
+    p = write(tmp_path / "p.txt", "ba\n")
+    calls = _count_calls(monkeypatch)
+    built = _record_instances(monkeypatch)
+    assert main(["sanitize", "--pipeline", "tpm", "--k", "2", "--in", w, "--patterns", p]) == EXIT_INFEASIBLE
+    assert calls == []
+    assert len(built) == 1 and "counts" not in built[0].__dict__
+
+
+def test_separator_pipeline_reports_equal_the_recount(tmp_path):
+    # A report measures the MCSR stage on the patterns it added; a recount of the whole output must agree.
+    cost = write(tmp_path / "cost.json", '{"sub": {"epsilon": 0}, "sub_default": 1}')
+    parser = cli.build_parser()
+    rng = random.Random(63)
+    seen = Counter()
+    for case in range(4_500):
+        pipeline = ("tpm", "tm", "tmi")[case % 3]
+        ks = (3, 4, 5) if pipeline == "tmi" else (1, 2, 3, 4, 5)
+        inst = random_instance(rng, n_min=4, n_max=40, ks=ks, sensitive_rate=0.2)
+        tau = rng.randint(1, 3)
+        argv = ["sanitize", "--pipeline", pipeline, "--k", str(inst.k), "--tau", str(tau), "--in", "-", "--patterns", "-"]
+        rho = None
+        if pipeline == "tmi" or (inst.k > 2 and rng.random() < 0.3):
+            rho = rng.choice((-0.3, -0.5, -1.0))
+            argv += ["--rho", str(rho)]
+        theta = None
+        if rng.random() < 0.4:  # deletions are free, so a capacity below the separator count binds
+            theta = rng.randint(0, 3)
+            argv += ["--cost-model", cost, "--theta", str(theta)]
+        try:
+            out, report = cli.run_pipeline(parser.parse_args(argv), inst)
+        except Infeasible:
+            seen["infeasible"] += 1
+            continue
+        want = frequency_changes(inst.counts, kmer_counts(out, inst.k), tau, inst.sensitive_patterns)
+        assert (report.distortion, set(report.lost), set(report.ghost)) == want, (pipeline, inst.text, inst.k, argv)
+        seen["measured"] += 1
+        y = pfs_sanitize(inst) if pipeline == "tpm" else tfs_sanitize(inst)
+        seen[f"tau {tau}"] += "#" in y
+        seen["theta binds"] += theta is not None and theta < y.count("#")
+        seen["tmi avoids"] += pipeline == "tmi" and "#" in y and bool(implausible_set(inst, rho))
+        seen["ghost"] += bool(report.ghost)
+    assert seen["measured"] >= 3_000 and min(seen.values()) > 50, seen
 
 
 @pytest.mark.parametrize("pipeline", ["tmi", "tpm", "tm"])

@@ -294,7 +294,12 @@ class TestResultCounts:
                 res = mcsr_sanitize(y, inst, uniform_cost_model(tau=rng.randint(1, 3)), implausible)
             except Infeasible:
                 continue
-            assert res.counts == kmer_counts(res.text, k), (y, k, res.text)
+            before, added = kmer_counts(y, k), Counter(win for _i, win in res.site_windows)
+            assert kmer_counts(res.text, k) == before + added, (y, k, res.text)
+            assert all(res.exposed_counts[pat] == before[pat] for pat in res.exposed_counts), (y, k)
+            assert added.keys() <= res.exposed_counts.keys(), (y, k)
+            changed = ({pat: before[pat] for pat in added}, {pat: before[pat] + cnt for pat, cnt in added.items()})
+            assert tuple(map(dict, res.changed_counts())) == changed, (y, k)
             blocks = y.split("#")
             seen["no separator"] += len(blocks) == 1
             seen["leading"] += y.startswith("#")
@@ -329,13 +334,14 @@ def _parent_mcsr(text, inst, cm, implausible, rounds):
     banned choices, and costs every admissible choice; after each solve the
     windows of the output at every junction are re-checked, and a choice that
     made a sensitive or implausible one is banned.  Appends one entry to
-    `rounds` per round.  Returns the `McsrResult` fields in order, counts last.
+    `rounds` per round.  Returns the `McsrResult` fields in order, last the
+    input's count of every window of every choice.
     """
     k, letters = inst.k, inst.alphabet.chars
     counts = kmer_counts(text, k)
     seps = _separators_and_left_contexts(text, k)
     if not seps:
-        return text, (), 0.0, 0.0, (), counts
+        return text, (), 0.0, 0.0, (), {}
     if cm.theta is None:
         cm = replace(cm, theta=float(len(seps)))
     sites = []
@@ -345,6 +351,7 @@ def _parent_mcsr(text, inst, cm, implausible, rounds):
             ctx = context_string(text, i, choice, k)
             options.append((choice, [ctx[t : t + k] for t in range(len(ctx) - k + 1)]))
         sites.append((pos - len(left), options))
+    exposed = {win: counts[win] for _start, options in sites for _choice, windows in options for win in windows}
     cands = _ghost_definition(text, k, cm.tau, letters)
     unsafe = set(inst.sensitive_patterns) | (implausible if implausible is not None else set())
     parts = text.split("#")
@@ -378,9 +385,8 @@ def _parent_mcsr(text, inst, cm, implausible, rounds):
             if violation:
                 break
         if violation is None:
-            counts.update(z[s : s + k] for s in starts)
             ghost_cost, weight = sum(el.cost for el in selection), sum(el.weight for el in selection)
-            return z, tuple(choices), ghost_cost, weight, tuple(site_windows), counts
+            return z, tuple(choices), ghost_cost, weight, tuple(site_windows), exposed
         banned.add(violation)
     raise Infeasible("separator rewriting failed to converge; Z cannot be constructed")
 
@@ -422,7 +428,7 @@ class TestAgainstTheParentConstruction:
                 seen["infeasible"] += 1
                 continue
             res = mcsr_sanitize(y, inst, cm, implausible)
-            got = (res.text, res.choices, res.ghost_cost, res.total_weight, res.site_windows, res.counts)
+            got = (res.text, res.choices, res.ghost_cost, res.total_weight, res.site_windows, dict(res.exposed_counts))
             assert got == want, (y, k)
             seps = len(res.choices)
             # On these inputs the re-check never banned a choice, and the package solves once.

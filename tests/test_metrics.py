@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -132,7 +133,8 @@ def _union_of_keys_changes(source, output, k, tau, sensitive):
 
 
 def test_frequency_changes_with_and_without_output_counts():
-    # Every output is measured on its recount; TFS, PFS and MCSR outputs also on the counts their stage produced.
+    # Every output is measured on its recount; the source and the TFS, PFS and MCSR outputs also on the
+    # counts of the patterns their stage changed: none for TFS and PFS, the added windows for MCSR.
     from seqsan import mcsr_sanitize, uniform_cost_model
 
     rng = random.Random(32)
@@ -146,15 +148,15 @@ def test_frequency_changes_with_and_without_output_counts():
             mutated[rng.randrange(len(mutated))] = rng.choice(letters + "#")
         y = pfs_sanitize(inst)
         outputs = [
-            (inst.text, inst.counts),
-            (tfs_sanitize(inst), inst.preserved_counts()),
-            (y, inst.preserved_counts()),
+            (inst.text, (inst.counts, inst.counts)),
+            (tfs_sanitize(inst), (Counter(), Counter())),
+            (y, (Counter(), Counter())),
             ("".join(mutated), None),
             ("".join(rng.choice(letters + "#") for _ in range(rng.randint(0, 20))), None),
         ]
         try:
-            z = mcsr_sanitize(y, inst, uniform_cost_model(tau=2), counts=inst.preserved_counts())
-            outputs.append((z.text, z.counts))
+            z = mcsr_sanitize(y, inst, uniform_cost_model(tau=2))
+            outputs.append((z.text, z.changed_counts()))
         except Infeasible:
             pass
         for out, stage_counts in outputs:
@@ -162,7 +164,7 @@ def test_frequency_changes_with_and_without_output_counts():
             want = _union_of_keys_changes(inst.text, out, k, tau, inst.sensitive_patterns)
             assert frequency_changes(inst.counts, kmer_counts(out, k), tau, inst.sensitive_patterns) == want
             if stage_counts is not None:
-                assert frequency_changes(inst.counts, stage_counts, tau, inst.sensitive_patterns) == want
+                assert frequency_changes(*stage_counts, tau, inst.sensitive_patterns) == want
             changed += want[0] > 0
     assert changed > 500  # the sweep must reach outputs whose counts differ
 

@@ -20,7 +20,6 @@ from .errors import (
     BadK,
     BadPosition,
     BlockTooShort,
-    BudgetExceeded,
     Infeasible,
     SanitizationError,
     SeparatorInInput,
@@ -51,7 +50,6 @@ from .metrics import (
     verify,
     verify_levels,
 )
-from .oracles import OracleBudget, oracle_fo_ssm, oracle_mck, oracle_min_etfs, oracle_min_tfs
 from .pfs import RankPair, fo_ssm, pfs_sanitize, rank_blocks
 from .tfs import tfs_sanitize
 
@@ -95,11 +93,6 @@ __all__ = [
     "verify_levels",
     "VerifyResult",
     "MetricsReport",
-    "oracle_min_tfs",
-    "oracle_min_etfs",
-    "oracle_mck",
-    "oracle_fo_ssm",
-    "OracleBudget",
     "SanitizationError",
     "SeparatorInInput",
     "BadK",
@@ -107,5 +100,4 @@ __all__ = [
     "BlockTooShort",
     "Infeasible",
     "UndefinedWhenZero",
-    "BudgetExceeded",
 ]

@@ -86,10 +86,6 @@ class Alphabet:
             raise SeparatorInInput("input sequence contains the reserved separator '#'")
         return cls(tokens=tuple(distinct), token_mode=True)
 
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
     @cached_property
     def chars(self) -> str:
         """Internal one-char letters, in rank order."""
@@ -103,9 +99,7 @@ class Alphabet:
 
     @cached_property
     def _decode_map(self) -> dict[str, str]:
-        out = {c: t for t, c in zip(self.tokens, self.chars)}
-        out[SEPARATOR] = SEPARATOR
-        return out
+        return dict(zip(self.chars, self.tokens))
 
     def encode(self, tokens: Iterable[str]) -> str:
         """Map a token sequence (or a char-mode string) to the internal form."""
@@ -116,8 +110,9 @@ class Alphabet:
             raise ValueError(f"token {exc.args[0]!r} is not in the alphabet") from None
 
     def decode_tokens(self, encoded: str) -> list[str]:
+        """One token per internal char; '#' and any char outside the alphabet stay as they are, as in char mode."""
         dec = self._decode_map
-        return [dec[c] for c in encoded]
+        return [dec.get(c, c) for c in encoded]
 
     def decode(self, encoded: str) -> str:
         """Render an internal string for output: char mode verbatim, token mode space-joined."""
@@ -130,14 +125,13 @@ class Alphabet:
 class SanitizationInstance:
     """An immutable sanitization problem: sequence, k, and closed sensitive set.
 
-    `mask` has one flag per position: mask[i] == 1 iff i is a sensitive
-    occurrence start, for i <= n-k; the last k-1 entries copy mask[n-k].
+    `mask` has one flag per window: mask[i] == 1 iff i is a sensitive
+    occurrence start, for 0 <= i <= n-k.
     """
 
     text: str
     k: int
     alphabet: Alphabet
-    sensitive_positions: frozenset[int]
     sensitive_patterns: frozenset[str]
     mask: bytes = field(repr=False)
 
@@ -146,11 +140,14 @@ class SanitizationInstance:
         return len(self.text)
 
     @cached_property
+    def sensitive_positions(self) -> frozenset[int]:
+        """Occurrence starts of sensitive patterns, read from `mask`."""
+        return frozenset(compress(range(len(self.mask)), self.mask))
+
+    @cached_property
     def nonsensitive_positions(self) -> tuple[int, ...]:
         """Occurrence starts of non-sensitive patterns, ascending."""
-        last = self.n - self.k
-        mask = self.mask
-        return tuple(i for i in range(last + 1) if not mask[i])
+        return tuple(i for i, flag in enumerate(self.mask) if not flag)
 
     @cached_property
     def counts(self) -> Counter[str]:
@@ -232,22 +229,17 @@ def build_instance(
 
     # One lookup per window; every occurrence of a wanted pattern is marked, which is the closure.
     wanted_letters = {tuple(pat) for pat in wanted}
-    mask = bytearray(map(wanted_letters.__contains__, _letter_windows(text, k)))
-    sens_positions = frozenset(compress(range(n - k + 1), mask))
-    sens_patterns = {text[i : i + k] for i in sens_positions}
+    mask = bytes(map(wanted_letters.__contains__, _letter_windows(text, k)))
+    sens_patterns = frozenset(text[i : i + k] for i in compress(range(n - k + 1), mask))
     for pat in sorted(wanted - sens_patterns):
-        logger.warning("sensitive pattern %r does not occur in the input; nothing to conceal", pat)
-
-    # Tail rule: the last k-1 flags copy the flag of the final full window.
-    mask.extend(mask[n - k : n - k + 1] * (k - 1))
+        logger.warning("sensitive pattern %r does not occur in the input; nothing to conceal", alphabet.decode(pat))
 
     return SanitizationInstance(
         text=text,
         k=k,
         alphabet=alphabet,
-        sensitive_positions=sens_positions,
-        sensitive_patterns=frozenset(sens_patterns),
-        mask=bytes(mask),
+        sensitive_patterns=sens_patterns,
+        mask=mask,
     )
 
 
@@ -304,5 +296,5 @@ def overlap_chains(inst: SanitizationInstance) -> list[str]:
     those runs.
     """
     text, k = inst.text, inst.k
-    runs = re.finditer(rb"\x00+", inst.mask[: len(text) - k + 1])
+    runs = re.finditer(rb"\x00+", inst.mask)
     return _spell((text[m.start() : m.end() + k - 1] for m in runs), k)

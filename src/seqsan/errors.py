@@ -27,7 +27,3 @@ class Infeasible(SanitizationError):
 
 class UndefinedWhenZero(SanitizationError):
     """Relative error is undefined because the reference distance is zero."""
-
-
-class BudgetExceeded(SanitizationError):
-    """A brute-force oracle was asked to search beyond its configured budget."""

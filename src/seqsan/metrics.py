@@ -126,7 +126,7 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
         win = next(win for win in _windows(candidate, k) if win in inst.sensitive_patterns)
         pos = candidate.find(win)
         offset = pos - candidate.rfind(SEPARATOR, 0, pos) - 1
-        return VerifyResult(level, False, f"sensitive window {win!r} at block offset {offset}")
+        return VerifyResult(level, False, f"sensitive window {inst.alphabet.decode(win)!r} at block offset {offset}")
 
     if level == "P1":
         # Spelling is a bijection between window sequences and chain lists.
@@ -156,7 +156,7 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
                         break
             if found < mult:
                 have = len(_occurrences(candidate, chain))
-                return VerifyResult(level, False, f"chain {chain!r} needed {mult}x, found {have}x")
+                return VerifyResult(level, False, f"chain {inst.alphabet.decode(chain)!r} needed {mult}x, found {have}x")
         return VerifyResult(level, True)
 
     if level == "P2":
@@ -172,7 +172,7 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
         got = kmer_counts(candidate, k)
         diff = (want - got) + (got - want)
         pat = next(iter(diff))
-        return VerifyResult(level, False, f"frequency of {pat!r}: expected {want[pat]}, got {got[pat]}")
+        return VerifyResult(level, False, f"frequency of {inst.alphabet.decode(pat)!r}: expected {want[pat]}, got {got[pat]}")
 
     if level == "P3":
         seps = candidate.count(SEPARATOR)

@@ -12,10 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import SEPARATOR, SanitizationInstance
-from .errors import BudgetExceeded, Infeasible
-from .mcsr import MckElement, MckInstance
-from .pfs import RankPair
+from seqsan.core import SEPARATOR, SanitizationInstance
+from seqsan.errors import Infeasible, SanitizationError
+from seqsan.mcsr import MckElement, MckInstance
+from seqsan.pfs import RankPair
+
+
+class BudgetExceeded(SanitizationError):
+    """A brute-force oracle was asked to search beyond its configured budget."""
 
 
 @dataclass(frozen=True)
@@ -30,8 +34,8 @@ class OracleBudget:
 def _guard(inst: SanitizationInstance, budget: OracleBudget) -> None:
     if inst.n > budget.max_n:
         raise BudgetExceeded(f"n={inst.n} exceeds oracle budget {budget.max_n}")
-    if inst.alphabet.size > budget.max_sigma:
-        raise BudgetExceeded(f"sigma={inst.alphabet.size} exceeds oracle budget {budget.max_sigma}")
+    if len(inst.alphabet.tokens) > budget.max_sigma:
+        raise BudgetExceeded(f"sigma={len(inst.alphabet.tokens)} exceeds oracle budget {budget.max_sigma}")
 
 
 def _targets(inst: SanitizationInstance) -> list[str]:

@@ -149,6 +149,29 @@ def test_token_mode_round_trip(tmp_path):
     assert tokens == ["3", "1", "4", "1", "#", "5", "9", "2", "6"]
 
 
+def test_token_mode_absent_pattern_warning_names_the_tokens(tmp_path, caplog):
+    w = write(tmp_path / "w.txt", "a b c a b c\n")
+    p = write(tmp_path / "p.txt", "c c c\n")
+    with caplog.at_level("WARNING", logger="seqsan.core"):
+        assert main(["sanitize", "--pipeline", "tfs", "--k", "3", "--mode", "token", "--in", w, "--patterns", p]) == EXIT_OK
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "sensitive pattern 'c c c' does not occur in the input; nothing to conceal"
+    ]
+
+
+def test_token_mode_verify_details_name_the_tokens(tmp_path, capsys):
+    w = write(tmp_path / "w.txt", "a b c a b c\n")
+    p = write(tmp_path / "p.txt", "a b\n")
+    cand = write(tmp_path / "cand.txt", "c a b c\n")
+    code = main(["verify", "--k", "2", "--mode", "token", "--in", w, "--patterns", p, "--candidate", cand, "--level", "C1,Pi1,P2"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "C1: FAIL (sensitive window 'a b' at block offset 1)",
+        "Pi1: FAIL (chain 'b c a' needed 1x, found 0x)",
+        "P2: FAIL (frequency of 'b c': expected 2, got 1)",
+    ]
+
+
 def test_token_alphabet_above_limit_is_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(core, "_MAX_TOKENS", 3)
     w = write(tmp_path / "w.txt", "3 1 4 1 5\n")

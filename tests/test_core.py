@@ -66,8 +66,8 @@ class TestBuildInstance:
     def test_example1_closure(self, example1):
         assert sorted(example1.sensitive_positions) == [2, 10]
         assert example1.sensitive_patterns == {"baaa", "bbaa"}
-        # mask tail copies the final window flag
-        assert example1.mask[-3:] == bytes([example1.mask[len(example1.text) - 4]] * 3)
+        # one flag per window
+        assert len(example1.mask) == len(example1.text) - 4 + 1
 
     def test_empty_sensitive(self):
         inst = build_instance("abcabc", 3, patterns=[])
@@ -107,6 +107,16 @@ class TestBuildInstance:
         assert inst.sensitive_positions == frozenset()
         assert any("does not occur" in rec.message for rec in caplog.records)
 
+    def test_token_mode_absent_pattern_is_logged_in_tokens(self, caplog):
+        ab = Alphabet.from_tokens("a b c".split())
+        text = ab.encode("a b c a b c".split())
+        with caplog.at_level(logging.WARNING, logger="seqsan.core"):
+            build_instance(text, 2, patterns=[ab.encode(["c", "c"]), "zz"], alphabet=ab)
+        # A pattern over chars outside the alphabet never occurs either; its chars are shown as they are.
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"sensitive pattern {pat!r} does not occur in the input; nothing to conceal" for pat in ("z z", "c c")
+        ]
+
 
 def _closure_by_find(text, k, wanted):
     """Closure by definition: every occurrence of every wanted pattern, one `str.find` scan per pattern."""
@@ -120,10 +130,9 @@ def _closure_by_find(text, k, wanted):
             patterns.add(pat)
             pos = text.find(pat, pos + 1)
     n = len(text)
-    mask = bytearray(n)
+    mask = bytearray(n - k + 1)
     for i in positions:
         mask[i] = 1
-    mask[n - k + 1 :] = bytes([mask[n - k]]) * (k - 1)
     return positions, patterns, bytes(mask), absent
 
 
@@ -170,7 +179,7 @@ class TestOneWindowClosure:
     def test_overlapping_occurrences_all_marked(self):
         inst = build_instance("baaaab", 2, patterns=["aa"])
         assert sorted(inst.sensitive_positions) == [1, 2, 3]
-        assert inst.mask == bytes([0, 1, 1, 1, 0, 0])
+        assert inst.mask == bytes([0, 1, 1, 1, 0])
 
 
 class TestInheritedCounts:
@@ -204,9 +213,8 @@ class TestInheritedCounts:
             text=text,
             k=2,
             alphabet=Alphabet.from_text(text),
-            sensitive_positions=frozenset(),
             sensitive_patterns=frozenset({"cc"}),
-            mask=bytes(len(text)),
+            mask=bytes(len(text) - 2 + 1),
         )
         assert inst.preserved_counts() == kmer_counts(text, 2)
 

@@ -28,8 +28,8 @@ from seqsan import (
     uniform_cost_model,
     z_score,
 )
-from seqsan.oracles import oracle_mck
 from conftest import random_instance
+from oracles import oracle_mck
 
 PAPER_Y = "aaacbcbbba#aabaabbacaab"
 

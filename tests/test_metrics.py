@@ -18,8 +18,8 @@ from seqsan import (
     verify_levels,
 )
 from seqsan.metrics import MetricsReport, frequency_changes
-from seqsan.oracles import _levenshtein
 from conftest import random_instance
+from oracles import _levenshtein
 
 
 class TestBaSanitize:

@@ -3,24 +3,19 @@ import random
 import pytest
 
 from seqsan import (
-    BudgetExceeded,
     Infeasible,
     MckElement,
     MckInstance,
-    OracleBudget,
     build_instance,
     build_regex,
     edit_distance,
     etfs_sanitize,
-    oracle_fo_ssm,
-    oracle_mck,
-    oracle_min_etfs,
-    oracle_min_tfs,
     tfs_sanitize,
     verify_levels,
 )
 from seqsan.pfs import RankPair
 from conftest import random_instance
+from oracles import BudgetExceeded, OracleBudget, oracle_fo_ssm, oracle_mck, oracle_min_etfs, oracle_min_tfs
 
 
 def small_instance(rng: random.Random):

@@ -1,10 +1,13 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and the command line loads only the stages it runs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "seqsan").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "seqsan").glob("*.py"))
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -23,3 +26,11 @@ def test_runtime_imports_only_stdlib():
     for path in SOURCES:
         foreign = {m for m in imported_modules(path) if m != "seqsan" and m not in sys.stdlib_module_names}
         assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_cli_loads_only_the_package_modules_it_runs():
+    code = "import sys, seqsan.cli; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'seqsan'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
+    stages = ["cli", "core", "errors", "etfs", "mcsr", "metrics", "pfs", "tfs"]
+    assert loaded == ["seqsan"] + [f"seqsan.{name}" for name in stages]

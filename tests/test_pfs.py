@@ -16,9 +16,9 @@ from seqsan import (
     verify,
     verify_levels,
 )
-from seqsan.oracles import oracle_fo_ssm
 from seqsan.pfs import assemble
 from conftest import random_instance
+from oracles import oracle_fo_ssm
 
 
 class TestRankBlocks:

@@ -151,10 +151,7 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
         }
     except ValueError as exc:  # a bad weight, or a key that is not a letter of the input
         raise InputError(f"{path}: {exc}") from None
-    ghost = float(ghost_default)
-    return CostModel(
-        ghost=lambda pos, pat: ghost, sub=lambda i, choice: table.get(choice, sub_default), theta=args.theta, tau=args.tau
-    )
+    return CostModel(ghost=float(ghost_default), sub=table, sub_default=sub_default, theta=args.theta, tau=args.tau)
 
 
 def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[str, mt.MetricsReport]:

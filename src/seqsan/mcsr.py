@@ -1,21 +1,21 @@
 """Replace or delete every separator under a distortion budget.
 
 Separators reveal where sensitive material was removed, so each one is either
-deleted or replaced by an alphabet letter.  Choices are costed by the spurious
-patterns they could push over the mining threshold tau (worst-case additive
-estimate per separator), weighted by a substitution model, and solved as a
-multiple-choice knapsack: one choice per separator, minimum total cost,
-total weight at most theta.  Choices that would recreate a sensitive pattern
-are discarded outright, as are choices that would complete a statistically
-implausible window when an implausible set is supplied.  Each choice is
-decided once, by `separator_sites`: its table holds a (choice, windows,
-weight) triple per letter and deletion, the weight None when the choice is
-out, and an infeasible input fails before any ghost is estimated.  The ghost
-estimate reads every choice's windows; the knapsack prices the choices with a
-weight.  The input has at least k-1 letters between any two separators, as
-every TFS and PFS output has, so no window of the output reaches two
-junctions: the windows a choice creates are the ones the table checked for
-it, and the knapsack is solved once.
+deleted or replaced by an alphabet letter.  A choice costs the ghost cost
+times the spurious patterns it could push over the mining threshold tau
+(worst-case additive estimate per separator), one exact product on every
+Python, and weighs what the letter table of the `CostModel` says; the
+choices are solved as a multiple-choice knapsack: one per separator, minimum
+total cost, total weight at most theta.  Choices that would recreate a
+sensitive pattern, or complete an implausible window when an implausible set
+is supplied, are discarded outright.  Each choice is decided once, by
+`separator_sites`: its table holds a (choice, windows, weight) triple per
+letter and deletion, the weight None when the choice is out, and an
+infeasible input fails before any ghost is estimated.  The input has at
+least k-1 letters between any two separators, as every TFS and PFS output
+has, so no window of the output reaches two junctions: the windows a choice
+creates are the ones the table checked for it, and the knapsack is solved
+once.
 
 A rewrite changes the input only at its junctions, so the count of a pattern
 that no choice exposes is the same before and after.  The input is therefore
@@ -31,8 +31,7 @@ import math
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
-from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance, _letter_windows, _occurrences, kmer_counts
 from .errors import BadK, Infeasible
@@ -44,22 +43,25 @@ MAX_TABLE_CELLS = 4_000_000  # knapsack table cells; 4M of 11 choices took 8 s a
 
 @dataclass(frozen=True)
 class CostModel:
-    """Ghost cost per created window, substitution weight per choice, capacity, threshold.
+    """Ghost cost per created candidate window, substitution weights, capacity, threshold.
 
-    `sub` may return None to forbid a choice outright; safety-based forbidding
-    (sensitive or implausible windows) is applied on top of it.  `theta=None`
+    `sub` maps a letter, or EPSILON for deletion, to its substitution weight;
+    a choice it does not list weighs `sub_default`.  Weights are non-negative
+    integers, the same at every separator.  A choice that creates n candidate
+    windows, counted with multiplicity, costs `ghost * n`.  `theta=None`
     resolves to the separator count of the string being rewritten.
     """
 
-    ghost: Callable[[int, str], float]
-    sub: Callable[[int, str], float | None]
+    ghost: float
+    sub: Mapping[str, int]
+    sub_default: int
     theta: float | None
     tau: int
 
 
 def uniform_cost_model(tau: int, theta: float | None = None) -> CostModel:
     """Unit ghost cost, unit substitution weight, capacity defaulting to the separator count."""
-    return CostModel(ghost=lambda pos, pat: 1.0, sub=lambda i, choice: 1, theta=theta, tau=tau)
+    return CostModel(ghost=1.0, sub={}, sub_default=1, theta=theta, tau=tau)
 
 
 class MckElement(NamedTuple):
@@ -112,54 +114,50 @@ def _context(text: str, pos: int, k: int) -> tuple[str, str]:
     return left, right
 
 
-Site = tuple[int, list[tuple[str, tuple[str, ...], float | None]]]
+Site = list[tuple[str, tuple[str, ...], int | None]]
 
 
 def separator_sites(text: str, k: int, letters: str, cm: CostModel, forbidden: frozenset[str]) -> list[Site]:
     """Every separator's choices, the windows each would expose and its knapsack weight, decided once.
 
-    One entry per separator, left to right: the start in `text` of its context,
-    and a (choice, windows, weight) triple per letter in order, then EPSILON.
-    The windows are those of `context_string`, so window t starts at source
-    position start + t.  The weight is `cm.sub(i, choice)` for separator i, or
-    None if a window is in `forbidden`, `sub` returns None or the weight is
-    above `cm.theta`.  The first separator whose every weight is None raises
-    Infeasible.
+    One entry per separator, left to right: a (choice, windows, weight) triple
+    per letter in order, then EPSILON.  The windows are those of
+    `context_string`.  The weight is `cm.sub.get(choice, cm.sub_default)`, or
+    None if a window is in `forbidden` or the weight is above `cm.theta`.  The
+    first separator whose every weight is None raises Infeasible.
     """
     if cm.theta is None:
         raise ValueError("capacity must be resolved before the choices are weighed")
-    choices = list(letters) + [EPSILON]
+    # A weight above theta rules its choice out at every separator.
+    weighed = [(c, w if (w := cm.sub.get(c, cm.sub_default)) <= cm.theta else None) for c in [*letters, EPSILON]]
     intern = sys.intern  # the table holds every window of every choice at once: interning keeps it small
     sites: list[Site] = []
     pos = -1
     while (pos := text.find(SEPARATOR, pos + 1)) != -1:
-        i = len(sites) + 1
         left, right = _context(text, pos, k)
         options = []
-        for c in choices:
+        for c, weight in weighed:
             ctx = left + c + right
             windows = tuple([intern(ctx[t : t + k]) for t in range(len(ctx) - k + 1)])
-            weight = cm.sub(i, c) if forbidden.isdisjoint(windows) else None
-            options.append((c, windows, None if weight is None or weight > cm.theta else weight))
+            options.append((c, windows, weight if forbidden.isdisjoint(windows) else None))
         if all(weight is None for _c, _windows, weight in options):
-            raise Infeasible(_NO_CHOICE.format(i))
-        sites.append((pos - len(left), options))
+            raise Infeasible(_NO_CHOICE.format(len(sites) + 1))
+        sites.append(options)
     return sites
 
 
 def _exposed_counts(text: str, k: int, sites: list[Site]) -> Counter[str]:
     """The count in `text` of every window some choice of `sites` exposes, zeros included, in one pass.
 
-    A window is looked up once and its slot incremented; a filter feeding a
-    Counter looks it up twice, which took about half as long again where
-    most patterns are exposed (1M letters, 1k secrets; Python 3.11, 2 vCPUs).
+    Each window of `text` is mapped straight to its pattern by one `dict.get`,
+    and the windows no choice exposes are filtered out before the Counter
+    sees them, so the whole count runs at C level.
     """
-    exposed = list(set().union(*(windows for _start, options in sites for _choice, windows, _weight in options)))
-    slot = {tuple(pat): j for j, pat in enumerate(exposed)}
-    counts = [0] * (len(exposed) + 1)  # the last slot takes every window no choice exposes
-    for j in map(slot.get, _letter_windows(text, k), repeat(len(exposed))):
-        counts[j] += 1
-    return Counter(dict(zip(exposed, counts)))
+    exposed = set().union(*(windows for options in sites for _choice, windows, _weight in options))
+    slot = {tuple(pat): pat for pat in exposed}
+    counts = Counter(dict.fromkeys(exposed, 0))
+    counts.update(filter(None, map(slot.get, _letter_windows(text, k))))
+    return counts
 
 
 def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[str, tuple[int, int]]:
@@ -173,7 +171,7 @@ def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[
     from below, so only those are walked.
     """
     gains: Counter[str] = Counter()
-    for _start, options in sites:
+    for options in sites:
         if all(len(set(windows)) == len(windows) for _choice, windows, _weight in options):
             gains.update(set().union(*(windows for _choice, windows, _weight in options)))  # every gain is 1
             continue
@@ -188,18 +186,18 @@ def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[
 
 
 def build_mck(sites: list[Site], cands: dict[str, tuple[int, int]], cm: CostModel) -> MckInstance:
-    """One knapsack class per separator of `sites`; its elements are the choices with a weight, with their ghost costs."""
-    classes: list[tuple[MckElement, ...]] = []
-    cand, ghost = cands.keys(), cm.ghost
-    for start, options in sites:
-        elements: list[MckElement] = []
-        for choice, windows, weight in options:
-            if weight is None:
-                continue
-            cost = 0 if cand.isdisjoint(windows) else sum([ghost(start + t, w) for t, w in enumerate(windows) if w in cand])
-            elements.append(MckElement(choice, cost, weight))
-        classes.append(tuple(elements))
-    return MckInstance(classes=tuple(classes), capacity=cm.theta)
+    """One knapsack class per separator of `sites`; its elements are the choices with a weight.
+
+    A choice costs `cm.ghost` times the number of its windows in `cands`,
+    counted with multiplicity: one correctly rounded product, the same on
+    every Python.
+    """
+    is_cand = cands.__contains__
+    classes = tuple(
+        tuple(MckElement(c, cm.ghost * sum(map(is_cand, windows)), weight) for c, windows, weight in options if weight is not None)
+        for options in sites
+    )
+    return MckInstance(classes=classes, capacity=cm.theta)
 
 
 def solve_mck(inst: MckInstance) -> list[MckElement]:
@@ -362,13 +360,13 @@ def mcsr_sanitize(
     cands = candidate_ghosts(sites, counts, cm.tau)
     selection = solve_mck(build_mck(sites, cands, cm))
     choices = tuple(el.choice for el in selection)
-    slot = {choice: j for j, (choice, _windows, _weight) in enumerate(sites[0][1])}  # every site lists the choices in one order
-    picked = [options[slot[choice]][1] for (_start, options), choice in zip(sites, choices)]
+    slot = {choice: j for j, (choice, _windows, _weight) in enumerate(sites[0])}  # every site lists the choices in one order
+    picked = [options[slot[choice]][1] for options, choice in zip(sites, choices)]
     site_windows = tuple((i, win) for i, windows in enumerate(picked, start=1) for win in windows)
     return McsrResult(
         text=parts[0] + "".join(choice + block for choice, block in zip(choices, parts[1:])),
         choices=choices,
-        ghost_cost=sum(el.cost for el in selection),
+        ghost_cost=math.fsum(el.cost for el in selection),
         total_weight=sum(el.weight for el in selection),
         site_windows=site_windows,
         exposed_counts=counts,

@@ -251,9 +251,10 @@ def test_criterion_5_synthetic_vs_baseline():
 def _best_of_3(build, stage):
     """The fastest of 3 timings of `stage(build())`, with the stage's last result.
 
-    Each repetition builds a fresh instance: an instance caches its chains, and
-    spelling them is part of every timed stage.  The garbage collector is off
-    inside a timing, as timeit does.
+    `build` runs untimed before each repetition, so every repetition starts
+    from fresh inputs: an instance caches its chains, and spelling them is
+    part of every timed stage.  The garbage collector is off inside a timing,
+    as timeit does.
     """
     times = []
     for _ in range(3):
@@ -273,14 +274,17 @@ def _best_of_3(build, stage):
 
 @_criterion("criterion 6: scaling envelopes")
 def test_criterion_6_scaling():
-    # Linear stage: time tfs+pfs at doubling sizes.
+    # Linear stages: time the closure and tfs+pfs at doubling sizes.
     def linear_run(n, seed):
         rng = random.Random(seed)
         text = "".join(rng.choices(LETTERS[:10], k=n))
         pats = sorted({text[p : p + 5] for p in rng.sample(range(n - 5), 1000)})
-        elapsed, (x, y) = _best_of_3(
-            lambda: build_instance(text, 5, patterns=pats), lambda inst: (tfs_sanitize(inst), pfs_sanitize(inst))
-        )
+
+        def closure_tfs_pfs(pats):
+            inst = build_instance(text, 5, patterns=pats)
+            return tfs_sanitize(inst), pfs_sanitize(inst)
+
+        elapsed, (x, y) = _best_of_3(lambda: pats, closure_tfs_pfs)
         assert len(y) <= len(x)
         return elapsed
 
@@ -311,7 +315,7 @@ def test_criterion_6_scaling():
     assert q_two < 600.0, f"n=2000 edit-optimal run took {q_two:.1f}s"
     assert q_two / q_one <= 6.0, f"doubling ratio {q_two / q_one:.2f} (want ~4, quadratic)"
     print(
-        f"\n[scaling] linear: {t_half:.2f}/{t_one:.2f}/{t_two:.2f}s  "
+        f"\n[scaling] linear: {t_half:.3f}/{t_one:.3f}/{t_two:.3f}s  "
         f"quadratic: {q_half:.1f}/{q_one:.1f}/{q_two:.1f}s"
     )
 

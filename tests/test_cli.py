@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -265,6 +266,22 @@ def test_cost_model_file(tmp_path, example1_files):
         ["sanitize", "--pipeline", "tm", "--k", "4", "--cost-model", bad, "--in", w, "--patterns", p]
     )
     assert code == EXIT_INPUT_ERROR
+
+
+def test_fractional_ghost_cost_prices_each_choice_as_one_product(tmp_path):
+    # A choice with six candidate windows at ghost cost 0.1 costs 0.1 * 6, on every Python.  A left-to-right
+    # sum of six 0.1s rounds to 0.6 before Python 3.12 and to 0.1 * 6 after; here that flips two letters.
+    w = tmp_path / "w.txt"
+    assert main(["gen", "--n", "2000", "--sigma", "4", "--seed", "2", "--out", str(w)]) == EXIT_OK
+    p = write(tmp_path / "p.txt", "".join(f"{i}\n" for i in sorted(random.Random(2).sample(range(2000 - 7 + 1), 25))))
+    cm = write(tmp_path / "cm.json", json.dumps({"ghost_default": 0.1, "sub": {"a": 2, "b": 0, "epsilon": 1}, "sub_default": 1}))
+    out = tmp_path / "z.txt"
+    argv = ["sanitize", "--pipeline", "tm", "--k", "7", "--tau", "1", "--theta", "10", "--cost-model", cm,
+            "--in", str(w), "--patterns", p, "--positions", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    z = out.read_text().strip()
+    assert (len(z), z[275], z[1346]) == (2189, "c", "c")  # the sum gave "b" and "a" before Python 3.12
+    assert hashlib.sha256(z.encode()).hexdigest() == "607910fc1effbd999e075cbae7aa00b000d3237988e414512e0a8efbacbe36e1"
 
 
 @pytest.mark.parametrize(

@@ -53,11 +53,30 @@ class InputError(SanitizationError):
     """A malformed command line, or a file that failed to parse; the message names the flag or line/column."""
 
 
-def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
+def _read(path: str) -> str:
+    """The text of an input file; one that cannot be read is an input error naming it."""
     try:
-        raw = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _char_line(path: str, raw: str, forbidden: str) -> str:
+    """The one line of a char-mode file, or '' if it has none; a second line or a `forbidden` character names its place."""
+    lines = [ln for ln in raw.splitlines() if ln]
+    if len(lines) > 1:
+        raise InputError(f"{path}:2:1: char-mode input must be a single line")
+    text = lines[0] if lines else ""
+    bad = re.search(forbidden, text)
+    if bad:
+        what = "reserved separator '#' in input" if bad.group() == SEPARATOR else "whitespace inside char-mode sequence"
+        raise InputError(f"{path}:1:{bad.start() + 1}: {what}")
+    return text
+
+
+def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
+    raw = _read(path)
     if mode == "token":
         tokens = raw.split()
         if not tokens:
@@ -67,24 +86,14 @@ def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
             raise InputError(f"{path}:1:{col}: reserved separator '#' in input")
         alphabet = Alphabet.from_tokens(tokens)
         return alphabet.encode(tokens), alphabet
-    lines = [ln for ln in raw.splitlines() if ln]
-    if not lines:
+    text = _char_line(path, raw, r"[#\s]")  # SEPARATOR or whitespace; `\s` matches exactly what str.isspace() accepts
+    if not text:
         raise InputError(f"{path}:1:1: empty sequence")
-    if len(lines) > 1:
-        raise InputError(f"{path}:2:1: char-mode input must be a single line")
-    text = lines[0]
-    bad = re.search(r"[#\s]", text)  # SEPARATOR or whitespace; `\s` matches exactly what str.isspace() accepts
-    if bad:
-        what = "reserved separator '#' in input" if bad.group() == SEPARATOR else "whitespace inside char-mode sequence"
-        raise InputError(f"{path}:1:{bad.start() + 1}: {what}")
     return text, Alphabet.from_text(text)
 
 
 def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alphabet):
-    try:
-        raw = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    raw = _read(path)
     pats: list[str] = []
     poss: list[int] = []
     known = set(alphabet.tokens)
@@ -129,9 +138,7 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
         return uniform_cost_model(tau=args.tau, theta=args.theta)
     path = args.cost_model
     try:
-        spec = json.loads(open(path, "r", encoding="utf-8").read())
-    except OSError as exc:
-        raise InputError(f"cannot read cost model {path}: {exc}") from exc
+        spec = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
     if not isinstance(spec, dict):
@@ -141,6 +148,8 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
     # JSON true and false are bools, not numbers; NaN and Infinity would make every cost compare false.
     if type(ghost_default) not in (int, float) or not math.isfinite(ghost_default):
         raise InputError(f"{path}: ghost_default is not a finite number: {ghost_default!r}")
+    if ghost_default < 0:  # a negative cost would make MCSR seek ghosts
+        raise InputError(f"{path}: ghost_default is negative: {ghost_default!r}")
     if not isinstance(weights, dict):
         raise InputError(f"{path}: sub is not an object of substitution weights: {weights!r}")
     try:
@@ -249,12 +258,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_inputs(args)
-    raw = open(args.candidate, "r", encoding="utf-8").read()
+    raw = _read(args.candidate)
     if args.mode == "token":
         tokens = raw.split()
         candidate = "".join(SEPARATOR if t == SEPARATOR else inst.alphabet.encode([t]) for t in tokens)
     else:
-        candidate = raw.strip()
+        # A candidate may hold '#', and may be empty: TFS outputs '' when every window is sensitive.
+        candidate = _char_line(args.candidate, raw, r"\s")
     ok = True
     for res in mt.verify_levels(candidate, inst, args.level):
         status = "pass" if res.ok else f"FAIL ({res.detail})"

@@ -74,17 +74,12 @@ class Alphabet:
     @classmethod
     def from_text(cls, text: str) -> "Alphabet":
         """Char-mode alphabet: the sorted distinct characters of `text`."""
-        if SEPARATOR in text:
-            raise SeparatorInInput("input sequence contains the reserved separator '#'")
         return cls(tokens=tuple(sorted(set(text))), token_mode=False)
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Alphabet":
         """Token-mode alphabet: the sorted distinct tokens of the iterable."""
-        distinct = sorted(set(tokens))
-        if SEPARATOR in distinct:
-            raise SeparatorInInput("input sequence contains the reserved separator '#'")
-        return cls(tokens=tuple(distinct), token_mode=True)
+        return cls(tokens=tuple(sorted(set(tokens))), token_mode=True)
 
     @cached_property
     def chars(self) -> str:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .core import (
     SEPARATOR,
@@ -79,7 +80,7 @@ class MetricsReport:
         for name, value in sorted(self.lengths.items()):
             lines.append(f"length_{name}={value}")
         if self.distortion is not None:
-            lines.append(f"distortion={self.distortion:g}")
+            lines.append(f"distortion={self.distortion:.0f}")  # an exact sum of squared integers
         lines.append(f"lost_count={len(self.lost)}")
         lines.extend(f"lost={dec(p)}" for p in sorted(self.lost))
         lines.append(f"ghost_count={len(self.ghost)}")
@@ -164,7 +165,7 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
         # Equal multisets have equal sizes, and a size costs one step per chain, not one per window.
         size = [sum((len(chain) - k + 1) * mult for chain, mult in side.items()) for side in (lost, extra)]
         if size[0] == size[1]:
-            lost_windows, extra_windows = (Counter(_windows(SEPARATOR.join(side.elements()), k)) for side in (lost, extra))
+            lost_windows, extra_windows = (kmer_counts(SEPARATOR.join(side.elements()), k) for side in (lost, extra))
             if lost_windows == extra_windows:
                 return VerifyResult(level, True)
         # Closure makes every occurrence of a kept pattern non-sensitive, so these are its counts in source order.
@@ -201,54 +202,33 @@ def verify_levels(candidate: str, inst: SanitizationInstance, levels=VERIFY_LEVE
 def ba_sanitize(inst: SanitizationInstance) -> str:
     """Greedy in-place baseline: rewrite one letter inside each sensitive occurrence.
 
-    Scans left to right; in each sensitive occurrence the currently
-    most-frequent letter (leftmost on ties) is replaced by the least-frequent
-    alphabet letter outside the occurrence (smallest on ties) that introduces
-    no sensitive pattern, falling back to '#' when no letter is safe.
+    Visits the sensitive occurrences the closure recorded, left to right, and
+    skips one that an earlier rewrite already broke.  In each other one the
+    currently most-frequent letter (leftmost on ties) is replaced by the
+    least-frequent alphabet letter outside the occurrence (smallest on ties)
+    that puts no sensitive window through it, falling back to '#' when no
+    letter is safe.  A rewrite makes no window sensitive, so no occurrence
+    outside the recorded ones needs a visit.
     """
-    if not inst.sensitive_patterns:
-        return inst.text
     k = inst.k
     seq = list(inst.text)
-    n = len(seq)
     freq = Counter(inst.text)
     letters = inst.alphabet.chars
-
-    def creates_sensitive(pos: int) -> bool:
-        lo = max(0, pos - k + 1)
-        hi = min(n - k, pos)
-        for s in range(lo, hi + 1):
-            win = seq[s : s + k]
-            if SEPARATOR in win:
-                continue
-            if "".join(win) in inst.sensitive_patterns:
-                return True
-        return False
-
-    i = 0
-    while i <= n - k:
+    for i in compress(range(len(inst.mask)), inst.mask):
         window = "".join(seq[i : i + k])
-        if SEPARATOR in window or window not in inst.sensitive_patterns:
-            i += 1
+        if window not in inst.sensitive_patterns:
             continue
         in_window = set(window)
-        target_off = max(range(k), key=lambda off: (freq[seq[i + off]], -off))
-        target = i + target_off
-        original = seq[target]
-        replaced = False
+        target = i + max(range(k), key=lambda off: (freq[seq[i + off]], -off))
+        freq[seq[target]] -= 1
         for cand in sorted((c for c in letters if c not in in_window), key=lambda c: (freq[c], c)):
             seq[target] = cand
-            if not creates_sensitive(target):
-                freq[original] -= 1
+            # The windows through the target are those of this slice.
+            if not contains_sensitive("".join(seq[max(0, target - k + 1) : target + k]), inst):
                 freq[cand] += 1
-                replaced = True
                 break
-            seq[target] = original
-        if not replaced:
+        else:
             seq[target] = SEPARATOR
-            freq[original] -= 1
-        # Re-examine the same start: the rewritten window must no longer be sensitive.
-
     return "".join(seq)
 
 

@@ -297,6 +297,7 @@ def test_fractional_ghost_cost_prices_each_choice_as_one_product(tmp_path):
         ({"sub": {"c": -1}}, "sub['c'] is not a non-negative integer"),
         ({"sub_default": 0.5}, "sub_default is not a non-negative integer"),
         ({"sub": {"z": 1}}, "token 'z' is not in the alphabet"),
+        ({"ghost_default": -5}, "ghost_default is negative: -5"),
     ],
 )
 def test_malformed_cost_model_is_input_error_before_any_stage(tmp_path, example1_files, capsys, monkeypatch, spec, named):
@@ -364,6 +365,32 @@ def test_char_mode_names_first_bad_column(tmp_path, capsys, text, col, what):
     assert main(["sanitize", "--pipeline", "tfs", "--k", "2", "--in", w, "--patterns", p]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert f"w.txt:1:{col}: " in err and what in err
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ("aabaa#aaacbcbbba#baabbacaab\nb\n", "{cand}:2:1: char-mode input must be a single line"),
+        ("aabaa#aaacbcbbba #baabbacaab\n", "{cand}:1:17: whitespace inside char-mode sequence"),
+        (None, "cannot read {cand}: "),
+    ],
+    ids=["two-lines", "whitespace", "missing"],
+)
+def test_verify_checks_its_candidate_as_a_sequence(example1_files, capsys, content, named):
+    w, p, tmp = example1_files
+    cand = str(tmp / "cand.txt") if content is None else write(tmp / "cand.txt", content)
+    assert main(["verify", "--k", "4", "--in", w, "--patterns", p, "--candidate", cand]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: " + named.format(cand=cand))
+
+
+def test_verify_accepts_an_empty_candidate(tmp_path, capsys):
+    # The TFS output is empty when every window is sensitive.
+    w = write(tmp_path / "w.txt", "aaaaaab\n")
+    p = write(tmp_path / "p.txt", "aaaa\naaab\n")
+    cand = write(tmp_path / "cand.txt", "\n")
+    assert main(["verify", "--k", "4", "--in", w, "--patterns", p, "--candidate", cand]) == EXIT_OK
+    assert capsys.readouterr().out.split() == [word for lv in cli.mt.VERIFY_LEVELS for word in (f"{lv}:", "pass")]
 
 
 def test_verify_level_subset(example1_files, capsys):

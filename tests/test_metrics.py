@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from seqsan import (
+    Alphabet,
     Infeasible,
     UndefinedWhenZero,
     ba_sanitize,
@@ -44,6 +45,83 @@ class TestBaSanitize:
             out = ba_sanitize(inst)
             assert not contains_sensitive(out, inst)
             assert len(out) == inst.n  # in-place rewrites only
+
+
+def _rescanning_ba(inst):
+    """The baseline loop `ba_sanitize` replaced, kept as the reference for its outputs.
+
+    It looks for sensitive windows among all n - k + 1 starts, re-examines a
+    start after each rewrite, and tests a candidate letter on every window
+    through it.
+    """
+    if not inst.sensitive_patterns:
+        return inst.text
+    k = inst.k
+    seq = list(inst.text)
+    n = len(seq)
+    freq = Counter(inst.text)
+    letters = inst.alphabet.chars
+
+    def creates_sensitive(pos):
+        for s in range(max(0, pos - k + 1), min(n - k, pos) + 1):
+            win = seq[s : s + k]
+            if "#" not in win and "".join(win) in inst.sensitive_patterns:
+                return True
+        return False
+
+    i = 0
+    while i <= n - k:
+        window = "".join(seq[i : i + k])
+        if "#" in window or window not in inst.sensitive_patterns:
+            i += 1
+            continue
+        in_window = set(window)
+        target = i + max(range(k), key=lambda off: (freq[seq[i + off]], -off))
+        original = seq[target]
+        replaced = False
+        for cand in sorted((c for c in letters if c not in in_window), key=lambda c: (freq[c], c)):
+            seq[target] = cand
+            if not creates_sensitive(target):
+                freq[original] -= 1
+                freq[cand] += 1
+                replaced = True
+                break
+            seq[target] = original
+        if not replaced:
+            seq[target] = "#"
+            freq[original] -= 1
+        # Re-examine the same start: the rewritten window must no longer be sensitive.
+    return "".join(seq)
+
+
+def test_ba_equals_the_rescanning_loop():
+    rng = random.Random(20)
+    seen = Counter()
+    for case in range(3_000):
+        sigma, n = rng.randint(1, 4), rng.randint(2, 30)
+        k = rng.randint(1, min(5, n - 1))
+        kind = ("char", "token", "all")[case % 3]
+        if kind == "token":
+            # Every token of the pool is a letter, also those the text lacks.
+            pool = [f"t{j}" for j in range(sigma + rng.randint(0, 2))]
+            alphabet = Alphabet.from_tokens(pool)
+            text = alphabet.encode(rng.choice(pool[:sigma]) for _ in range(n))
+        else:
+            alphabet = None
+            text = "".join(rng.choice("abcd"[:sigma]) for _ in range(n))
+        if kind == "all":
+            inst = build_instance(text, k, patterns={text[i : i + k] for i in range(n - k + 1)})
+        else:
+            positions = rng.sample(range(n - k + 1), rng.randint(0, min(4, n - k + 1)))
+            inst = build_instance(text, k, positions=positions, alphabet=alphabet)
+        want = _rescanning_ba(inst)
+        assert ba_sanitize(inst) == want, (text, k, sorted(inst.sensitive_patterns))
+        seen[kind] += 1
+        seen["k=1"] += k == 1
+        seen["sigma=1"] += sigma == 1 and bool(inst.sensitive_patterns)
+        seen["fallback"] += "#" in want
+        seen["absent letter"] += bool(set(want) - set(text) - {"#"})  # a rewrite with a letter the text lacks
+    assert min(seen.values()) >= 100, seen
 
 
 def _changes(source, output, k, tau=1, sensitive=frozenset()):
@@ -268,3 +346,10 @@ def test_report_serialization_round_trip_keys():
     assert lines["distortion"] == "2"
     assert lines["lost_count"] == "1"
     assert "lost=ab" in text
+
+
+def test_report_prints_distortion_as_the_exact_integer():
+    rep = MetricsReport(pipeline="ba")
+    for value, printed in ((0.0, "0"), (999_999.0, "999999"), (1_854_697.0, "1854697"), (2.0**60, str(2**60))):
+        rep.distortion = value
+        assert f"\ndistortion={printed}\n" in rep.to_text(), value

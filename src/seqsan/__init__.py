@@ -33,13 +33,11 @@ from .mcsr import (
     MckInstance,
     build_mck,
     candidate_ghosts,
-    context_string,
     implausible_set,
     mcsr_sanitize,
     separator_sites,
     solve_mck,
     uniform_cost_model,
-    z_score,
 )
 from .metrics import (
     MetricsReport,
@@ -71,10 +69,8 @@ __all__ = [
     "mcsr_sanitize",
     "separator_sites",
     "candidate_ghosts",
-    "context_string",
     "build_mck",
     "solve_mck",
-    "z_score",
     "implausible_set",
     "CostModel",
     "uniform_cost_model",

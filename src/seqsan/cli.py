@@ -63,15 +63,15 @@ def _read(path: str) -> str:
 
 
 def _char_line(path: str, raw: str, forbidden: str) -> str:
-    """The one line of a char-mode file, or '' if it has none; a second line or a `forbidden` character names its place."""
-    lines = [ln for ln in raw.splitlines() if ln]
+    """The one non-empty line of a char-mode file, or '' if none; a second one or a `forbidden` character names its line and column."""
+    lines = [(lineno, ln) for lineno, ln in enumerate(raw.splitlines(), start=1) if ln]
     if len(lines) > 1:
-        raise InputError(f"{path}:2:1: char-mode input must be a single line")
-    text = lines[0] if lines else ""
+        raise InputError(f"{path}:{lines[1][0]}:1: char-mode input must be a single line")
+    lineno, text = lines[0] if lines else (1, "")
     bad = re.search(forbidden, text)
     if bad:
         what = "reserved separator '#' in input" if bad.group() == SEPARATOR else "whitespace inside char-mode sequence"
-        raise InputError(f"{path}:1:{bad.start() + 1}: {what}")
+        raise InputError(f"{path}:{lineno}:{bad.start() + 1}: {what}")
     return text
 
 
@@ -261,7 +261,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     raw = _read(args.candidate)
     if args.mode == "token":
         tokens = raw.split()
-        candidate = "".join(SEPARATOR if t == SEPARATOR else inst.alphabet.encode([t]) for t in tokens)
+        letters = dict(zip(inst.alphabet.tokens, inst.alphabet.chars))
+        letters[SEPARATOR] = SEPARATOR
+        for col, tok in enumerate(tokens, start=1):
+            if tok not in letters:
+                raise InputError(f"{args.candidate}:1:{col}: token {tok!r} is not in the alphabet")
+        candidate = "".join(map(letters.__getitem__, tokens))
     else:
         # A candidate may hold '#', and may be empty: TFS outputs '' when every window is sensitive.
         candidate = _char_line(args.candidate, raw, r"\s")

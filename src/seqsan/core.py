@@ -13,7 +13,8 @@ windows, once per instance (`chains`).  The TFS output (the chains joined by
 
 An instance counts its k-mers once, on first use (`counts`).  Every TFS and
 PFS output has `preserved_counts()` as its k-mer counts, so no stage counts
-such a string; MCSR counts its input only on the patterns a choice exposes.
+such a string; MCSR counts its input only on the patterns a choice exposes,
+and keeps only those that occur.
 
 Sequences are handled internally as plain Python strings over an encoded
 alphabet.  Char mode keeps input characters as-is; token mode maps arbitrary

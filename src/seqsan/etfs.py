@@ -29,7 +29,6 @@ dropped cell tie with a kept one.
 
 from __future__ import annotations
 
-import re
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -81,23 +80,6 @@ class SanRegex:
     def shortest_member(self) -> str:
         """Fuse every overlap and separate the chains by one '#': the TFS output."""
         return SEPARATOR.join(self.chains)
-
-    def to_pattern(self) -> str:
-        """Equivalent `re` pattern, for independent membership checking."""
-        cls = "[" + re.escape(self.letters) + "]"
-        run = f"(?:{cls}?){{{self.k - 1}}}" if self.k > 1 else ""
-        if not self.chains:
-            return f"{run}(?:#{run})*"
-        plus = f"#(?:{run}#)*"
-        parts = [f"(?:{run}#)*", re.escape(self.chains[0][: self.k])]
-        for window, fused in self._steps():
-            after_filler = plus + re.escape(window)
-            parts.append(after_filler if fused is None else f"(?:{re.escape(fused)}|{after_filler})")
-        parts.append(f"(?:#{run})*")
-        return "".join(parts)
-
-    def matches(self, text: str) -> bool:
-        return re.fullmatch(self.to_pattern(), text) is not None
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,10 @@ once.
 A rewrite changes the input only at its junctions, so the count of a pattern
 that no choice exposes is the same before and after.  The input is therefore
 counted only on the exposed patterns, the union of every choice's windows, in
-one pass: `McsrResult.exposed_counts`.  The ghost estimate reads those
-counts, and the output's counts of those patterns are them plus the windows
-the rewrite added (`McsrResult.changed_counts`).
+one pass: `McsrResult.exposed_counts`, which holds only the patterns that
+occur.  The ghost estimate reads those counts, and the output's counts of
+those patterns are them plus the windows the rewrite added
+(`McsrResult.changed_counts`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Mapping, NamedTuple
 
-from .core import SEPARATOR, SanitizationInstance, _letter_windows, _occurrences, kmer_counts
+from .core import SEPARATOR, SanitizationInstance, _windows, kmer_counts
 from .errors import BadK, Infeasible
 
 EPSILON = ""  # deletion pseudo-letter
@@ -83,8 +84,8 @@ class McsrResult:
     ghost_cost: float
     total_weight: float
     site_windows: tuple[tuple[int, str], ...]  # (separator index, realized window)
-    # The input's count of every pattern some choice exposes, zeros included; a function of
-    # the input, so equality and hashing ignore it.
+    # The input's count of every pattern some choice exposes; a pattern that does not occur
+    # has no entry and reads 0.  A function of the input, so equality and hashing ignore it.
     exposed_counts: Counter[str] = field(repr=False, compare=False)
 
     def changed_counts(self) -> tuple[Counter[str], Counter[str]]:
@@ -95,20 +96,12 @@ class McsrResult:
         return before, after
 
 
-def context_string(text: str, sep_index: int, letter: str, k: int) -> str:
-    """The letters a replacement exposes: up to k-1 on each side of the separator.
-
-    `sep_index` is 1-based.  Contexts truncate at the string boundaries and at
-    neighbouring separators, since windows crossing another separator cannot
-    contribute alphabet-only patterns.
-    """
-    pos = [i for i, ch in enumerate(text) if ch == SEPARATOR][sep_index - 1]
-    left, right = _context(text, pos, k)
-    return left + letter + right
-
-
 def _context(text: str, pos: int, k: int) -> tuple[str, str]:
-    """The letters left and right of the separator at `pos` that a replacement exposes."""
+    """The letters left and right of the separator at `pos` that a replacement exposes.
+
+    Up to k-1 on each side, cut at the string's ends and at neighbouring
+    separators, since a window that crosses another separator is no pattern.
+    """
     left = text[max(0, pos - k + 1) : pos].rpartition(SEPARATOR)[2]
     right = text[pos + 1 : pos + k].partition(SEPARATOR)[0]
     return left, right
@@ -121,10 +114,11 @@ def separator_sites(text: str, k: int, letters: str, cm: CostModel, forbidden: f
     """Every separator's choices, the windows each would expose and its knapsack weight, decided once.
 
     One entry per separator, left to right: a (choice, windows, weight) triple
-    per letter in order, then EPSILON.  The windows are those of
-    `context_string`.  The weight is `cm.sub.get(choice, cm.sub_default)`, or
-    None if a window is in `forbidden` or the weight is above `cm.theta`.  The
-    first separator whose every weight is None raises Infeasible.
+    per letter in order, then EPSILON.  The windows are the length-k windows
+    of the choice between its `_context` letters.  The weight is
+    `cm.sub.get(choice, cm.sub_default)`, or None if a window is in
+    `forbidden` or the weight is above `cm.theta`.  The first separator whose
+    every weight is None raises Infeasible.
     """
     if cm.theta is None:
         raise ValueError("capacity must be resolved before the choices are weighed")
@@ -147,17 +141,13 @@ def separator_sites(text: str, k: int, letters: str, cm: CostModel, forbidden: f
 
 
 def _exposed_counts(text: str, k: int, sites: list[Site]) -> Counter[str]:
-    """The count in `text` of every window some choice of `sites` exposes, zeros included, in one pass.
+    """The count in `text` of every window some choice of `sites` exposes, in one pass.
 
-    Each window of `text` is mapped straight to its pattern by one `dict.get`,
-    and the windows no choice exposes are filtered out before the Counter
-    sees them, so the whole count runs at C level.
+    A pattern that does not occur has no entry, so the result never holds
+    more entries than `text` has windows, however many patterns are exposed.
     """
     exposed = set().union(*(windows for options in sites for _choice, windows, _weight in options))
-    slot = {tuple(pat): pat for pat in exposed}
-    counts = Counter(dict.fromkeys(exposed, 0))
-    counts.update(filter(None, map(slot.get, _letter_windows(text, k))))
-    return counts
+    return Counter(filter(exposed.__contains__, _windows(text, k)))
 
 
 def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[str, tuple[int, int]]:
@@ -265,24 +255,6 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
         idx, w = par[w]  # type: ignore[misc]
         chosen_rev.append(cls[idx])
     return list(reversed(chosen_rev))
-
-
-def z_score(text: str, pattern: str) -> float:
-    """Normalized over/under-representation of `pattern` in `text`.
-
-    The expectation composes the frequencies of the two length-(|U|-1)
-    sub-patterns over the frequency of their shared core; a negative score
-    marks a pattern occurring less often than its parts predict.
-    """
-    if len(pattern) <= 2:
-        raise ValueError("plausibility scores need patterns longer than 2")
-    freq = len(_occurrences(text, pattern))
-    mid = len(_occurrences(text, pattern[1:-1]))
-    if mid > 0:
-        expected = len(_occurrences(text, pattern[:-1])) * len(_occurrences(text, pattern[1:])) / mid
-    else:
-        expected = 0.0
-    return (freq - expected) / max(math.sqrt(expected), 1.0)
 
 
 def implausible_set(inst: SanitizationInstance, rho: float) -> frozenset[str]:

@@ -10,10 +10,13 @@ requests instead of running unbounded.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 
 from seqsan.core import SEPARATOR, SanitizationInstance
 from seqsan.errors import Infeasible, SanitizationError
+from seqsan.etfs import SanRegex
 from seqsan.mcsr import MckElement, MckInstance
 from seqsan.pfs import RankPair
 
@@ -208,3 +211,60 @@ def oracle_fo_ssm(
         if best is None or length < best:
             best = length
     return best
+
+
+def context_string(text: str, sep_index: int, letter: str, k: int) -> str:
+    """The letters a replacement of the `sep_index`-th separator (1-based) exposes: up to k-1 on each side.
+
+    The context stops at the string's ends and at the neighbouring separators,
+    since a window that crosses another separator is no pattern.
+    """
+    pos = [i for i, ch in enumerate(text) if ch == SEPARATOR][sep_index - 1]
+    before = text[:pos].split(SEPARATOR)[-1]
+    after = text[pos + 1 :].split(SEPARATOR)[0]
+    return before[max(0, len(before) - k + 1) :] + letter + after[: k - 1]
+
+
+def z_score(text: str, pattern: str) -> float:
+    """Normalized over/under-representation of `pattern` in `text`, from overlapping occurrence counts.
+
+    The expectation composes the frequencies of the two length-(|U|-1)
+    sub-patterns over the frequency of their shared core; a negative score
+    marks a pattern occurring less often than its parts predict.
+    """
+    if len(pattern) <= 2:
+        raise ValueError("plausibility scores need patterns longer than 2")
+
+    def freq(part: str) -> int:
+        return sum(text.startswith(part, i) for i in range(len(text) - len(part) + 1))
+
+    mid = freq(pattern[1:-1])
+    expected = freq(pattern[:-1]) * freq(pattern[1:]) / mid if mid > 0 else 0.0
+    return (freq(pattern) - expected) / max(math.sqrt(expected), 1.0)
+
+
+def to_pattern(regex: SanRegex) -> str:
+    """An `re` pattern for the language of `regex`, spelled from its chains, for membership checks.
+
+    Filler is any '#'-delimited string without k letters in a row.  Each
+    chain's first window follows filler that ends in '#' (the first chain's
+    may start the string); every later window either fuses on by its last
+    letter or follows such filler.
+    """
+    k = regex.k
+    run = f"(?:[{re.escape(regex.letters)}]?){{{k - 1}}}" if k > 1 else ""
+    if not regex.chains:
+        return f"{run}(?:#{run})*"
+    plus = f"#(?:{run}#)*"
+    parts = [f"(?:{run}#)*"]
+    for c, chain in enumerate(regex.chains):
+        parts.append((plus if c else "") + re.escape(chain[:k]))
+        for i in range(k, len(chain)):
+            parts.append(f"(?:{re.escape(chain[i])}|{plus}{re.escape(chain[i - k + 1 : i + 1])})")
+    parts.append(f"(?:#{run})*")
+    return "".join(parts)
+
+
+def matches(regex: SanRegex, text: str) -> bool:
+    """Whether `text` is in the language of `regex`, by `re`."""
+    return re.fullmatch(to_pattern(regex), text) is not None

@@ -384,6 +384,37 @@ def test_verify_checks_its_candidate_as_a_sequence(example1_files, capsys, conte
     assert captured.out == "" and captured.err.startswith("error: " + named.format(cand=cand))
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ("\naabaaacbc bbba\n", "{path}:2:10: whitespace inside char-mode sequence"),
+        ("aabaa\n\naaacbcbbba\n", "{path}:3:1: char-mode input must be a single line"),
+    ],
+    ids=["blank-line-first", "blank-line-between"],
+)
+@pytest.mark.parametrize("which", ["sequence", "candidate"])
+def test_char_mode_names_the_real_line(example1_files, capsys, content, named, which):
+    # Blank lines count: the place named is the one an editor shows.
+    w, p, tmp = example1_files
+    bad = write(tmp / "bad.txt", content)
+    if which == "sequence":
+        argv = ["sanitize", "--pipeline", "tfs", "--k", "4", "--in", bad, "--patterns", p]
+    else:
+        argv = ["verify", "--k", "4", "--in", w, "--patterns", p, "--candidate", bad]
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: " + named.format(path=bad) + "\n"
+
+
+def test_token_candidate_with_a_foreign_token_names_its_place(tmp_path, capsys):
+    w = write(tmp_path / "w.txt", "a a b a a\n")
+    p = write(tmp_path / "p.txt", "a b\n")
+    cand = write(tmp_path / "cand.txt", "a a # z a\n")
+    assert main(["verify", "--k", "2", "--mode", "token", "--in", w, "--patterns", p, "--candidate", cand]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {cand}:1:4: token 'z' is not in the alphabet\n"
+
+
 def test_verify_accepts_an_empty_candidate(tmp_path, capsys):
     # The TFS output is empty when every window is sensitive.
     w = write(tmp_path / "w.txt", "aaaaaab\n")

@@ -8,6 +8,7 @@ import pytest
 
 import seqsan.mcsr as mcsr_mod
 from seqsan import (
+    Alphabet,
     BadK,
     CostModel,
     Infeasible,
@@ -17,7 +18,6 @@ from seqsan import (
     build_mck,
     candidate_ghosts,
     contains_sensitive,
-    context_string,
     implausible_set,
     kmer_counts,
     mcsr_sanitize,
@@ -26,10 +26,9 @@ from seqsan import (
     solve_mck,
     tfs_sanitize,
     uniform_cost_model,
-    z_score,
 )
 from conftest import random_instance
-from oracles import oracle_mck
+from oracles import context_string, oracle_mck, z_score
 
 PAPER_Y = "aaacbcbbba#aabaabbacaab"
 
@@ -291,7 +290,7 @@ class TestResultCounts:
             before, added = kmer_counts(y, k), Counter(win for _i, win in res.site_windows)
             assert kmer_counts(res.text, k) == before + added, (y, k, res.text)
             assert all(res.exposed_counts[pat] == before[pat] for pat in res.exposed_counts), (y, k)
-            assert added.keys() <= res.exposed_counts.keys(), (y, k)
+            assert all(res.exposed_counts[pat] == before[pat] for pat in added), (y, k)  # a missing pattern reads 0
             changed = ({pat: before[pat] for pat in added}, {pat: before[pat] + cnt for pat, cnt in added.items()})
             assert tuple(map(dict, res.changed_counts())) == changed, (y, k)
             blocks = y.split("#")
@@ -305,6 +304,19 @@ class TestResultCounts:
         assert min(seen.values()) > 20, seen
         assert seen["blocks of k-1"] >= 50, seen
         assert "counts" not in repr(res)
+
+    def test_only_occurring_patterns_are_kept_at_a_large_alphabet(self):
+        # 3,000 tokens over 500 letters and 5 separators: the choices expose about 2,000 patterns per
+        # separator, nearly all absent from the input, and none of them may take an entry.
+        rng = random.Random(1)
+        tokens = [str(rng.randrange(500)) for _ in range(3000)]
+        alphabet = Alphabet.from_tokens(tokens)
+        inst = build_instance(alphabet.encode(tokens), 4, positions=[5, 700, 1400, 2100, 2900], alphabet=alphabet)
+        y = pfs_sanitize(inst)
+        res = mcsr_sanitize(y, inst, uniform_cost_model(tau=2))
+        assert len(res.choices) == 5
+        assert all(cnt > 0 for cnt in res.exposed_counts.values())
+        assert len(res.exposed_counts) <= len(y) - inst.k + 1
 
 
 def _junction_spans(parts, choices, k):
@@ -419,7 +431,8 @@ class TestAgainstTheParentConstruction:
                 continue
             res = mcsr_sanitize(y, inst, cm, implausible)
             got = (res.text, res.choices, res.ghost_cost, res.total_weight, res.site_windows, dict(res.exposed_counts))
-            assert got == want, (y, k)
+            *fields, exposed = want
+            assert got == (*fields, {pat: cnt for pat, cnt in exposed.items() if cnt}), (y, k)  # zero counts are not kept
             seps = len(res.choices)
             # On these inputs the re-check never banned a choice, and the package solves once.
             assert len(parent_rounds) == len(rounds) == (1 if seps else 0), (y, k)

@@ -141,11 +141,6 @@ class SanitizationInstance:
         return frozenset(compress(range(len(self.mask)), self.mask))
 
     @cached_property
-    def nonsensitive_positions(self) -> tuple[int, ...]:
-        """Occurrence starts of non-sensitive patterns, ascending."""
-        return tuple(i for i, flag in enumerate(self.mask) if not flag)
-
-    @cached_property
     def counts(self) -> Counter[str]:
         """`kmer_counts(text, k)`, computed on first use and shared: callers must not mutate it."""
         return kmer_counts(self.text, self.k)

@@ -11,7 +11,9 @@ filler is any separator-delimited string that never runs k alphabet letters
 in a row.  The optimum is found by approximate regular-expression matching:
 compile the language to an epsilon-automaton with symbolic any-letter edges
 and run an edit-distance dynamic program over (input position, automaton
-state), then trace back a witness.
+state), then trace back a witness.  The automaton is built once, straight
+into the in-edge lists of each state that the sweep and the traceback read,
+each list already in the order they try its edges.
 
 Each column takes one sweep over the states in order: every in-column edge
 but the filler loops' '#' back-edges runs forward, and those never lower a
@@ -33,7 +35,6 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 from .core import SEPARATOR, SanitizationInstance
 from .metrics import edit_distance
@@ -97,50 +98,6 @@ def build_regex(inst: SanitizationInstance) -> SanRegex:
     return SanRegex(inst.k, inst.alphabet.chars, inst.chains)
 
 
-class _Automaton:
-    """Epsilon-automaton with integer-labelled consuming edges (ANY = any letter)."""
-
-    def __init__(self, regex: SanRegex):
-        self.n_states = 1
-        self.cons: list[tuple[int, int, int]] = []  # (src, dst, label ord or ANY)
-        self.eps: list[tuple[int, int]] = []
-        sep = ord(SEPARATOR)
-
-        def chain(src: int, labels) -> int:
-            """One new state per label after `src`; an ANY step may also be skipped."""
-            for lab in labels:
-                self.n_states += 1
-                self.cons.append((src, self.n_states - 1, lab))
-                if lab == ANY:
-                    self.eps.append((src, self.n_states - 1))
-                src = self.n_states - 1
-            return src
-
-        def loop(head: int) -> int:
-            """Filler at `head`: up to k-1 letters, then '#' back to the head."""
-            last = chain(head, [ANY] * (regex.k - 1))
-            self.cons.append((last, head, sep))
-            return last
-
-        if not regex.chains:
-            cur = chain(0, [ANY] * (regex.k - 1))
-        else:
-            loop(0)  # leading filler loops back to the start
-            cur = chain(0, map(ord, regex.chains[0][: regex.k]))
-            for window, fused in regex._steps():
-                h = chain(cur, [sep])
-                loop(h)
-                nxt = chain(h, map(ord, window))
-                if fused is not None:
-                    self.cons.append((cur, nxt, ord(fused)))
-                cur = nxt
-        h = chain(cur, [sep])
-        last = loop(h)
-        self.accept = self.n_states
-        self.n_states += 1
-        self.eps += [(cur, self.accept), (last, self.accept)]
-
-
 INF = 1 << 60  # above every distance the DP can reach
 
 
@@ -162,33 +119,64 @@ class _Matcher:
     traceback re-derives each parent from the stored cells.
     """
 
-    def __init__(self, auto: _Automaton, letters: str):
-        self.auto = auto
-        self.letters = letters
-        n = auto.n_states
-        self.cons_in: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (src, label)
-        self.col_in: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (src, cost, label)
-        for src, dst, lab in auto.cons:
-            self.cons_in[dst].append((src, lab))
-        in_edges = [(src, dst, 0, ANY) for src, dst in auto.eps] + [(src, dst, 1, lab) for src, dst, lab in auto.cons]
-        for src, dst, w, lab in sorted(in_edges, key=itemgetter(0)):  # stable: least (cost, edge) first
-            # The only backward edge is the '#' closing a filler loop p -> h.  A
-            # value at p comes through h or from the previous column at a loop
-            # state, where p is epsilon-reachable and so no worse; consuming the
-            # letter as '#' on this edge already offered h that value plus one.
-            # So the back-edge never lowers h, and one sweep in state order
-            # reaches the fixpoint.  A later edge from the same source costs no
-            # less, so it never wins either.
-            if src < dst and not (self.col_in[dst] and self.col_in[dst][-1][0] == src):
-                self.col_in[dst].append((src, w, lab))
-        # Kept states lo..hi feed the next column only from lo - behind to hi + ahead.
-        jumps = [dst - src for src, dst, _lab in auto.cons] + [dst - src for src, dst in auto.eps]
-        self.ahead, self.behind = max(jumps, default=0), max(0, -min(jumps, default=0))
+    def __init__(self, regex: SanRegex):
+        k, sep = regex.k, ord(SEPARATOR)
+        # In-edges of each state, made once, in the order the sweep and the
+        # traceback try them: cons_in (src, label) in creation order, col_in
+        # (src, cost, label) by ascending source, one edge per source.
+        cons_in: list[list[tuple[int, int]]] = [[]]
+        col_in: list[list[tuple[int, int, int]]] = [[]]
+
+        def chain(src: int, labels) -> int:
+            """One new state per label after `src`; an ANY step may also be skipped."""
+            for lab in labels:
+                cons_in.append([(src, lab)])
+                # The epsilon edge beside an ANY step costs less than inserting a letter on it, so it stands in.
+                col_in.append([(src, 0, ANY) if lab == ANY else (src, 1, lab)])
+                src = len(cons_in) - 1
+            return src
+
+        def loop(head: int) -> int:
+            """Filler at `head`: up to k-1 letters, then '#' back to the head."""
+            last = chain(head, [ANY] * (k - 1))
+            # The only backward edge.  A value at `last` comes through `head`
+            # or from the previous column at a loop state, where `last` is
+            # epsilon-reachable and so no worse; consuming the letter as '#'
+            # on this edge already offered `head` that value plus one.  So it
+            # never lowers `head` inside a column, and one sweep in state
+            # order reaches the fixpoint: it is not in col_in.
+            cons_in[head].append((last, sep))
+            return last
+
+        # Kept states lo..hi feed the next column only from lo - behind to
+        # hi + ahead: `ahead` is the longest forward jump of an edge.
+        ahead = 1
+        if not regex.chains:
+            cur = chain(0, [ANY] * (k - 1))
+        else:
+            loop(0)  # leading filler loops back to the start
+            cur = chain(0, map(ord, regex.chains[0][:k]))
+            for window, fused in regex._steps():
+                h = chain(cur, [sep])
+                loop(h)
+                nxt = chain(h, map(ord, window))
+                if fused is not None:  # its source is below the chain edge's, nxt - 1
+                    cons_in[nxt].append((cur, ord(fused)))
+                    col_in[nxt].insert(0, (cur, 1, ord(fused)))
+                    ahead = max(ahead, nxt - cur)
+                cur = nxt
+        h = chain(cur, [sep])
+        last = loop(h)
+        self.accept = len(cons_in)
+        cons_in.append([])
+        col_in.append([(cur, 0, ANY), (last, 0, ANY)])
+        self.cons_in, self.col_in = cons_in, col_in
+        self.ahead, self.behind = max(ahead, self.accept - cur), k - 1  # a '#' back-edge jumps k-1 states back
         # minrem[s]: the fewest letters a path from s to accept emits, by a
         # backward 0-1 BFS (a consuming edge emits one letter, an epsilon none).
-        self.minrem = minrem = [INF] * n
-        minrem[auto.accept] = 0
-        queue = deque([auto.accept])
+        self.minrem = minrem = [INF] * len(cons_in)
+        minrem[self.accept] = 0
+        queue = deque([self.accept])
         while queue:
             x = queue.popleft()
             for s, _lab in self.cons_in[x]:
@@ -245,7 +233,7 @@ class _Matcher:
         state is not kept and this raises ValueError.  At `bound` = INF no cell
         is dropped.
         """
-        n, last = len(text), self.auto.n_states - 1
+        n, last = len(text), len(self.cons_in) - 1
         codes = [ord(ch) for ch in text]
         prev, cur = [INF] * (last + 1), [INF] * (last + 1)
         cur[0] = 0
@@ -261,13 +249,12 @@ class _Matcher:
             states, vals, end = self._column(prev, cur, oc, start, min(last, states[-1] + self.ahead), bound, n - j)
             columns.append((states, vals))
             filled, stale = (start, end), filled
-        distance = _value(columns[-1], self.auto.accept)  # INF after an empty column
+        distance = _value(columns[-1], self.accept)  # INF after an empty column
         if distance == INF:
             raise ValueError(f"no alignment within bound {bound}; the bound must be at least the optimal distance")
 
         trace: list[tuple[str, str]] = []
-        min_letter = self.letters[0] if self.letters else SEPARATOR
-        j, x = n, self.auto.accept
+        j, x = n, self.accept
         while j or x:
             cur = columns[j]
             v = _value(cur, x)
@@ -286,7 +273,7 @@ class _Matcher:
                     continue
             x, w, lab = next(e for e in self.col_in[x] if _value(cur, e[0]) + e[1] == v)
             if w:
-                trace.append(("insert", min_letter if lab == ANY else chr(lab)))
+                trace.append(("insert", chr(lab)))  # a cost-1 edge has a letter; ANY steps move by epsilon
 
         trace.reverse()
         witness = "".join(out for op, out in trace if op != "delete")
@@ -295,7 +282,7 @@ class _Matcher:
 
 def approx_regex_match(text: str, regex: SanRegex) -> MatchResult:
     """Closest string in the language of `regex` to `text`, with a witness."""
-    matcher = _Matcher(_Automaton(regex), regex.letters)
+    matcher = _Matcher(regex)
     bound = edit_distance(text, regex.shortest_member())
     return replace(matcher.match(text, bound), shortest_distance=bound)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, zip_longest
 
 from .core import (
     SEPARATOR,
@@ -115,8 +115,7 @@ def _window_starts(text: str, k: int, wanted: set[str]) -> dict[str, list[int]]:
 
 def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResult:
     """Check one property level, returning a counterexample on failure."""
-    text, k = inst.text, inst.k
-    n = len(text)
+    n, k = inst.n, inst.k
 
     if level == "C1":
         # The sensitive set is closed, so no source chain holds a sensitive window.
@@ -133,12 +132,9 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
         # Spelling is a bijection between window sequences and chain lists.
         if list(inst.chains) == _spell(candidate.split(SEPARATOR), k):
             return VerifyResult(level, True)
-        want = [text[i : i + k] for i in inst.nonsensitive_positions]
-        got = list(_windows(candidate, k))
-        bad = next(
-            (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
-            min(len(want), len(got)),
-        )
+        # The chains' windows are the source's non-sensitive ones; a sequence that ends first reads None.
+        pairs = zip_longest(_windows(SEPARATOR.join(inst.chains), k), _windows(candidate, k))
+        bad = next(i for i, (a, b) in enumerate(pairs) if a != b)
         return VerifyResult(level, False, f"window order diverges at chain index {bad}")
 
     if level == "Pi1":

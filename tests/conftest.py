@@ -5,6 +5,7 @@ import random
 import pytest
 
 from seqsan import SanitizationInstance, build_instance
+from oracles import nonsensitive_starts
 
 LETTER_POOL = "abcdefghij"
 
@@ -38,7 +39,7 @@ def check_tfs_definition(x: str, inst: SanitizationInstance) -> None:
     text, k = inst.text, inst.k
     blocks = x.split("#") if x else []
     windows = [b[i : i + k] for b in blocks for i in range(len(b) - k + 1)]
-    assert windows == [text[i : i + k] for i in inst.nonsensitive_positions]
+    assert windows == [text[i : i + k] for i in nonsensitive_starts(inst)]
     assert all(len(b) >= k for b in blocks), blocks
     for left, right in zip(blocks, blocks[1:]):
         assert left[len(left) - k + 1 :] != right[: k - 1], (left, right)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from seqsan.core import SEPARATOR, SanitizationInstance
 from seqsan.errors import Infeasible, SanitizationError
-from seqsan.etfs import SanRegex
+from seqsan.etfs import ANY, SanRegex
 from seqsan.mcsr import MckElement, MckInstance
 from seqsan.pfs import RankPair
 
@@ -41,8 +41,13 @@ def _guard(inst: SanitizationInstance, budget: OracleBudget) -> None:
         raise BudgetExceeded(f"sigma={len(inst.alphabet.tokens)} exceeds oracle budget {budget.max_sigma}")
 
 
+def nonsensitive_starts(inst: SanitizationInstance) -> list[int]:
+    """Start positions of the non-sensitive windows, ascending, read from `mask`."""
+    return [i for i, flag in enumerate(inst.mask) if not flag]
+
+
 def _targets(inst: SanitizationInstance) -> list[str]:
-    return [inst.text[i : i + inst.k] for i in inst.nonsensitive_positions]
+    return [inst.text[i : i + inst.k] for i in nonsensitive_starts(inst)]
 
 
 def oracle_min_tfs(inst: SanitizationInstance, budget: OracleBudget = OracleBudget()) -> tuple[int, str]:
@@ -268,3 +273,61 @@ def to_pattern(regex: SanRegex) -> str:
 def matches(regex: SanRegex, text: str) -> bool:
     """Whether `text` is in the language of `regex`, by `re`."""
     return re.fullmatch(to_pattern(regex), text) is not None
+
+
+class EdgeListAutomaton:
+    """The ETFS epsilon-automaton as two edge lists, for checking the matcher's in-edge lists.
+
+    `cons` holds (src, dst, label) for the consuming edges, where a label is a
+    letter's ord or ANY (any letter), and `eps` holds (src, dst) for the
+    epsilon edges, each in creation order.  States are numbered as they are
+    made; `accept` is the last.
+    """
+
+    def __init__(self, regex: SanRegex):
+        k, sep = regex.k, ord(SEPARATOR)
+        self.n_states = 1
+        self.cons: list[tuple[int, int, int]] = []
+        self.eps: list[tuple[int, int]] = []
+
+        def chain(src: int, labels) -> int:
+            """One new state per label after `src`; an ANY step may also be skipped."""
+            for lab in labels:
+                self.n_states += 1
+                self.cons.append((src, self.n_states - 1, lab))
+                if lab == ANY:
+                    self.eps.append((src, self.n_states - 1))
+                src = self.n_states - 1
+            return src
+
+        def loop(head: int) -> int:
+            """Filler at `head`: up to k-1 letters, then '#' back to the head."""
+            last = chain(head, [ANY] * (k - 1))
+            self.cons.append((last, head, sep))
+            return last
+
+        if not regex.chains:
+            cur = chain(0, [ANY] * (k - 1))
+        else:
+            loop(0)
+            cur = None
+            for chain_text in regex.chains:
+                # A chain starts after filler that ends in '#', the first one at the start.
+                if cur is None:
+                    cur = chain(0, map(ord, chain_text[:k]))
+                else:
+                    h = chain(cur, [sep])
+                    loop(h)
+                    cur = chain(h, map(ord, chain_text[:k]))
+                # Every later window fuses on by its last letter or follows such filler.
+                for i in range(k, len(chain_text)):
+                    h = chain(cur, [sep])
+                    loop(h)
+                    nxt = chain(h, map(ord, chain_text[i - k + 1 : i + 1]))
+                    self.cons.append((cur, nxt, ord(chain_text[i])))
+                    cur = nxt
+        h = chain(cur, [sep])
+        last = loop(h)
+        self.accept = self.n_states
+        self.n_states += 1
+        self.eps += [(cur, self.accept), (last, self.accept)]

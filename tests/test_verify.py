@@ -110,6 +110,8 @@ def _candidates(rng, inst):
     blocks.insert(0, blocks[-1])
     out.append("#".join(blocks))  # one chain twice
     out.append(x.replace("#", ""))
+    # One window short of the source's sequence, and one past it: P1 diverges where the shorter one ends.
+    out += [x[:-1], x + letters[0]]
     out.append("".join(rng.choice(letters + "#") for _ in range(rng.randint(1, 2 * inst.n))))
     return out
 

@@ -162,16 +162,6 @@ class SanitizationInstance:
         return kept
 
 
-def _occurrences(text: str, pattern: str) -> list[int]:
-    """Start positions of every occurrence of `pattern`, overlaps included; none if it is empty."""
-    found: list[int] = []
-    pos = text.find(pattern) if pattern else -1
-    while pos != -1:
-        found.append(pos)
-        pos = text.find(pattern, pos + 1)
-    return found
-
-
 def _windows(text: str, k: int) -> Iterator[str]:
     """Every length-k window of `text` that contains no separator, left to right."""
     for block in text.split(SEPARATOR):

@@ -9,7 +9,8 @@ choices are solved as a multiple-choice knapsack: one per separator, minimum
 total cost, total weight at most theta.  Choices that would recreate a
 sensitive pattern, or complete an implausible window when an implausible set
 is supplied, are discarded outright.  Each choice is decided once, by
-`separator_sites`: its table holds a (choice, windows, weight) triple per
+`separator_sites`, which reads each separator's context from the blocks on
+either side of it: its table holds a (choice, windows, weight) triple per
 letter and deletion, the weight None when the choice is out, and an
 infeasible input fails before any ghost is estimated.  The input has at
 least k-1 letters between any two separators, as every TFS and PFS output
@@ -39,7 +40,7 @@ from .errors import BadK, Infeasible
 
 EPSILON = ""  # deletion pseudo-letter
 _NO_CHOICE = "no admissible choice for separator {}; Z cannot be constructed"
-MAX_TABLE_CELLS = 4_000_000  # knapsack table cells; 4M of 11 choices took 8 s and 300 MB (Python 3.11, 2-vCPU VM)
+MAX_TABLE_CELLS = 4_000_000  # knapsack table cells; 400 classes of 11 choices at theta 9,999 took 2.4 s and 51 MB (Python 3.11.7, 2-vCPU Xeon VM)
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,6 @@ class McsrResult:
         return before, after
 
 
-def _context(text: str, pos: int, k: int) -> tuple[str, str]:
-    """The letters left and right of the separator at `pos` that a replacement exposes.
-
-    Up to k-1 on each side, cut at the string's ends and at neighbouring
-    separators, since a window that crosses another separator is no pattern.
-    """
-    left = text[max(0, pos - k + 1) : pos].rpartition(SEPARATOR)[2]
-    right = text[pos + 1 : pos + k].partition(SEPARATOR)[0]
-    return left, right
-
-
 Site = list[tuple[str, tuple[str, ...], int | None]]
 
 
@@ -115,10 +105,12 @@ def separator_sites(text: str, k: int, letters: str, cm: CostModel, forbidden: f
 
     One entry per separator, left to right: a (choice, windows, weight) triple
     per letter in order, then EPSILON.  The windows are the length-k windows
-    of the choice between its `_context` letters.  The weight is
-    `cm.sub.get(choice, cm.sub_default)`, or None if a window is in
-    `forbidden` or the weight is above `cm.theta`.  The first separator whose
-    every weight is None raises Infeasible.
+    of the choice between the last k-1 letters of the block before the
+    separator and the first k-1 of the block after, fewer where a block is
+    shorter: a window that crosses another separator or an end is no pattern.
+    The weight is `cm.sub.get(choice, cm.sub_default)`, or None if a window
+    is in `forbidden` or the weight is above `cm.theta`.  The first separator
+    whose every weight is None raises Infeasible.
     """
     if cm.theta is None:
         raise ValueError("capacity must be resolved before the choices are weighed")
@@ -126,9 +118,9 @@ def separator_sites(text: str, k: int, letters: str, cm: CostModel, forbidden: f
     weighed = [(c, w if (w := cm.sub.get(c, cm.sub_default)) <= cm.theta else None) for c in [*letters, EPSILON]]
     intern = sys.intern  # the table holds every window of every choice at once: interning keeps it small
     sites: list[Site] = []
-    pos = -1
-    while (pos := text.find(SEPARATOR, pos + 1)) != -1:
-        left, right = _context(text, pos, k)
+    parts = text.split(SEPARATOR)
+    for before, after in zip(parts, parts[1:]):
+        left, right = before[max(0, len(before) - k + 1) :], after[: k - 1]
         options = []
         for c, weight in weighed:
             ctx = left + c + right
@@ -194,17 +186,17 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
     """Minimum-cost selection of one element per class within the capacity.
 
     Weights must be non-negative integers.  When the capacity cannot bind
-    (every worst-case selection fits) each class is solved independently;
-    otherwise an exact table over residual capacities is used, of at most
-    MAX_TABLE_CELLS cells (else ValueError).  Equal-cost ties rotate the
-    preferred letter with the class index (deletion last), so tied choices
-    spread instead of piling occurrences onto one pattern.
+    (every worst-case selection fits, as under an infinite capacity) each
+    class is solved independently; otherwise an exact table over residual
+    capacities is used, of at most MAX_TABLE_CELLS cells (else ValueError),
+    each keeping the index of the element that reached it.  Equal-cost ties
+    rotate the preferred letter with the class index (deletion last), so
+    tied choices spread instead of piling occurrences onto one pattern.
     """
     for cls in inst.classes:
         for el in cls:
             if not float(el.weight).is_integer() or el.weight < 0:
                 raise ValueError(f"weights must be non-negative integers, got {el.weight}")
-    theta = int(math.floor(inst.capacity)) if inst.capacity != float("inf") else None
     if inst.capacity < 0:
         raise Infeasible("negative capacity")
 
@@ -215,35 +207,33 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
 
         return key
 
-    if theta is None or sum(max(int(el.weight) for el in cls) for cls in inst.classes) <= inst.capacity:
+    if sum(max(int(el.weight) for el in cls) for cls in inst.classes) <= inst.capacity:
         return [
             min(enumerate(cls), key=preference(i, len(cls)))[1] for i, cls in enumerate(inst.classes)
         ]
 
+    theta = int(math.floor(inst.capacity))
     if len(inst.classes) * (theta + 1) > MAX_TABLE_CELLS:
         raise ValueError(f"{len(inst.classes)} knapsack classes at theta {theta} exceed {MAX_TABLE_CELLS} table cells")
     INF = float("inf")
     dp = [INF] * (theta + 1)
     dp[0] = 0.0
-    parents: list[list[tuple[int, int] | None]] = []
+    parents: list[list[int]] = []  # per class and residual weight, the index of the element that reached it
     for cls_idx, cls in enumerate(inst.classes):
-        key = preference(cls_idx, len(cls))
-        ordered = [j for j, _el in sorted(enumerate(cls), key=key)]
+        ordered = [(j, int(el.weight), el.cost) for j, el in sorted(enumerate(cls), key=preference(cls_idx, len(cls)))]
         nxt = [INF] * (theta + 1)
-        par: list[tuple[int, int] | None] = [None] * (theta + 1)
-        for w in range(theta + 1):
-            cur = dp[w]
+        par = [-1] * (theta + 1)
+        for w, cur in enumerate(dp):
             if cur == INF:
                 continue
-            for idx in ordered:
-                el = cls[idx]
-                w2 = w + int(el.weight)
+            for j, weight, cost in ordered:
+                w2 = w + weight
                 if w2 > theta:
                     continue
-                cand = cur + el.cost
+                cand = cur + cost
                 if cand < nxt[w2]:
                     nxt[w2] = cand
-                    par[w2] = (idx, w)
+                    par[w2] = j
         dp = nxt
         parents.append(par)
     best_w = min(range(theta + 1), key=lambda w: (dp[w], w))
@@ -252,8 +242,9 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
     chosen_rev: list[MckElement] = []
     w = best_w
     for cls, par in zip(reversed(inst.classes), reversed(parents)):
-        idx, w = par[w]  # type: ignore[misc]
-        chosen_rev.append(cls[idx])
+        el = cls[par[w]]
+        chosen_rev.append(el)
+        w -= int(el.weight)
     return list(reversed(chosen_rev))
 
 
@@ -285,13 +276,13 @@ def implausible_set(inst: SanitizationInstance, rho: float) -> frozenset[str]:
         lasts = by_core_right.get(core)
         if not lasts:
             continue
-        mid = counts_km2[core]
+        mid = counts_km2[core]  # never 0: the core is the suffix of an occurring (k-1)-mer, so it occurs
         for a in firsts:
             left_part = a + core
             left_freq = counts_km1[left_part]
             for b in lasts:
                 pattern = left_part + b
-                expected = left_freq * counts_km1[core + b] / mid if mid > 0 else 0.0
+                expected = left_freq * counts_km1[core + b] / mid
                 score = (counts_k.get(pattern, 0) - expected) / max(math.sqrt(expected), 1.0)
                 if score < rho:
                     found.add(pattern)

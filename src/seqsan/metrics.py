@@ -38,7 +38,6 @@ from itertools import compress, zip_longest
 from .core import (
     SEPARATOR,
     SanitizationInstance,
-    _occurrences,
     _spell,
     _windows,
     contains_sensitive,
@@ -151,9 +150,8 @@ def verify(candidate: str, inst: SanitizationInstance, level: str) -> VerifyResu
                     found += 1
                     if found == mult:
                         break
-            if found < mult:
-                have = len(_occurrences(candidate, chain))
-                return VerifyResult(level, False, f"chain {inst.alphabet.decode(chain)!r} needed {mult}x, found {have}x")
+            if found < mult:  # the loop ran to the end, so `found` counts every occurrence
+                return VerifyResult(level, False, f"chain {inst.alphabet.decode(chain)!r} needed {mult}x, found {found}x")
         return VerifyResult(level, True)
 
     if level == "P2":

@@ -160,8 +160,6 @@ def assemble(blocks: list[str], ordering: list[list[int]], ell: int) -> str:
 def pfs_sanitize(inst: SanitizationInstance) -> str:
     """Shortest chain- and frequency-preserving sanitized string, built from the instance's overlap chains."""
     blocks = inst.chains
-    if len(blocks) < 2:
-        return SEPARATOR.join(blocks)
     ell = inst.k - 1
     pairs = rank_blocks(blocks, ell)
     ordering = fo_ssm(pairs)

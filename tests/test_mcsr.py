@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -491,6 +492,36 @@ class TestSolveMck:
         classes = ((MckElement("a", 1, 0.5),),)
         with pytest.raises(ValueError):
             solve_mck(MckInstance(classes, capacity=4))
+
+    def test_negative_infinite_capacity_is_infeasible(self):
+        classes = ((MckElement("a", 1, 0),),)
+        with pytest.raises(Infeasible, match="^negative capacity$"):
+            solve_mck(MckInstance(classes, capacity=-math.inf))
+
+    def test_table_tie_order_is_pinned(self):
+        # Of several equal-cost selections the table returns the one its tie
+        # rule and strict `<` pick.  The digest was recorded with a table that
+        # kept an (element, residual) pair per cell; it fails if a binding
+        # capacity's selection, and so a tie's winner, changes.
+        rng = random.Random(23)
+        digest = hashlib.sha256()
+        binding = 0
+        while binding < 2000:
+            classes = []
+            for _ in range(rng.randint(1, 6)):
+                choices = [c for c in ("a", "b", "c", "d", "") if rng.random() < 0.7] or ["a"]
+                classes.append(tuple(MckElement(c, float(rng.randint(0, 2)), rng.randint(0, 3)) for c in choices))
+            worst = sum(max(el.weight for el in cls) for cls in classes)
+            if worst == 0:
+                continue
+            binding += 1
+            capacity = rng.randint(0, worst - 1) + rng.choice([0, 0.5])
+            try:
+                picked = solve_mck(MckInstance(tuple(classes), capacity))
+            except Infeasible:
+                picked = None
+            digest.update(repr(picked).encode())
+        assert digest.hexdigest() == "80a667fc558234c53b64efdbedf5b7e450f6f448f0433c1318889d8dccb33a91"
 
     def test_table_guard_fires_before_the_table_is_built(self):
         theta = mcsr_mod.MAX_TABLE_CELLS // 2

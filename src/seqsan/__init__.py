@@ -19,7 +19,6 @@ from .core import (
 from .errors import (
     BadK,
     BadPosition,
-    BlockTooShort,
     Infeasible,
     SanitizationError,
     SeparatorInInput,
@@ -48,7 +47,7 @@ from .metrics import (
     verify,
     verify_levels,
 )
-from .pfs import RankPair, fo_ssm, pfs_sanitize, rank_blocks
+from .pfs import RankPair, fo_ssm, pfs_sanitize
 from .tfs import tfs_sanitize
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "overlap_chains",
     "tfs_sanitize",
     "pfs_sanitize",
-    "rank_blocks",
     "fo_ssm",
     "RankPair",
     "mcsr_sanitize",
@@ -93,7 +91,6 @@ __all__ = [
     "SeparatorInInput",
     "BadK",
     "BadPosition",
-    "BlockTooShort",
     "Infeasible",
     "UndefinedWhenZero",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import random
 import re
 import string
@@ -60,6 +59,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte offset {exc.start}: not UTF-8 ({exc.reason})") from None
 
 
 def _char_line(path: str, raw: str, forbidden: str) -> str:
@@ -126,10 +127,10 @@ def parse_inputs(args: argparse.Namespace) -> SanitizationInstance:
 
 
 def _weight(name: str, value) -> int:
-    """A substitution weight from a cost model file; `solve_mck` needs non-negative integers."""
-    if type(value) in (int, float) and float(value).is_integer() and value >= 0:
+    """A substitution weight from a cost model file; `solve_mck` needs non-negative integers, and θ, a float, bounds them."""
+    if type(value) in (int, float) and 0 <= value <= sys.float_info.max and float(value).is_integer():
         return int(value)
-    raise ValueError(f"{name} is not a non-negative integer: {value!r}")
+    raise ValueError(f"{name} is not a non-negative integer in float range: {value!r}")
 
 
 def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
@@ -145,9 +146,10 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
         raise InputError(f"{path}: expected a JSON object at the top level, got {type(spec).__name__}")
     ghost_default = spec.get("ghost_default", 1.0)
     weights = spec.get("sub", {})
-    # JSON true and false are bools, not numbers; NaN and Infinity would make every cost compare false.
-    if type(ghost_default) not in (int, float) or not math.isfinite(ghost_default):
-        raise InputError(f"{path}: ghost_default is not a finite number: {ghost_default!r}")
+    # JSON true and false are bools, not numbers; NaN and Infinity would make every cost compare false, and
+    # an integer beyond float range is as infinite as JSON's 1e999, which parses to inf.
+    if type(ghost_default) not in (int, float) or not abs(ghost_default) <= sys.float_info.max:
+        raise InputError(f"{path}: ghost_default is not a finite number in float range: {ghost_default!r}")
     if ghost_default < 0:  # a negative cost would make MCSR seek ghosts
         raise InputError(f"{path}: ghost_default is negative: {ghost_default!r}")
     if not isinstance(weights, dict):

@@ -17,10 +17,6 @@ class BadPosition(SanitizationError):
     """A sensitive position falls outside the valid occurrence range."""
 
 
-class BlockTooShort(SanitizationError):
-    """A block is too short for the requested affix length."""
-
-
 class Infeasible(SanitizationError):
     """No separator replacement satisfies the safety and capacity constraints."""
 

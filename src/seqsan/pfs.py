@@ -7,10 +7,10 @@ material anyway), and any block whose length-(k-1) prefix equals another
 block's length-(k-1) suffix can absorb it, dropping one separator and k-1
 duplicated letters.  Finding the arrangement with the most such absorptions
 is a shortest-superstring question that stays tractable here because each
-block is summarized by just two affix ranks: build the multigraph with one
-edge per block from its prefix rank to its suffix rank, then decompose it
-into the minimum number of edge-disjoint trails.  Every trail spells a run of
-merged blocks; trails are joined with separators.
+block is summarized by just its two affixes: build the multigraph whose nodes
+are the affixes, with one edge per block from its prefix to its suffix, then
+decompose it into the minimum number of edge-disjoint trails.  Every trail
+spells a run of merged blocks; trails are joined with separators.
 
 Tie-breaking (start node, edge choice, trail order) is deterministic; apart
 from sorting, the decomposition is linear in the blocks (Hierholzer 1873).
@@ -23,32 +23,14 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance
-from .errors import BlockTooShort
 
 
 class RankPair(NamedTuple):
-    """A block reduced to the lexicographic ranks of its two length-l affixes."""
+    """A block as the ranks of its length-l prefix and suffix: any keys that sort as the affixes do, the affixes themselves included."""
 
     block_id: int
-    prefix_rank: int
-    suffix_rank: int
-
-
-def rank_blocks(blocks: list[str], ell: int) -> list[RankPair]:
-    """Rank every block's length-ell prefix and suffix over their sorted union.
-
-    Ranks are 1-based; equal affixes share a rank, and rank order is
-    lexicographic order.
-    """
-    for b in blocks:
-        if len(b) <= ell:
-            raise BlockTooShort(f"block {b!r} not longer than affix length {ell}")
-    affixes = {b[:ell] for b in blocks} | {b[len(b) - ell :] for b in blocks}
-    rank = {a: r for r, a in enumerate(sorted(affixes), start=1)}
-    return [
-        RankPair(block_id=i, prefix_rank=rank[b[:ell]], suffix_rank=rank[b[len(b) - ell :]])
-        for i, b in enumerate(blocks)
-    ]
+    prefix_rank: str | int
+    suffix_rank: str | int
 
 
 def fo_ssm(pairs: list[RankPair]) -> list[list[int]]:
@@ -161,6 +143,5 @@ def pfs_sanitize(inst: SanitizationInstance) -> str:
     """Shortest chain- and frequency-preserving sanitized string, built from the instance's overlap chains."""
     blocks = inst.chains
     ell = inst.k - 1
-    pairs = rank_blocks(blocks, ell)
-    ordering = fo_ssm(pairs)
+    ordering = fo_ssm([RankPair(i, b[:ell], b[len(b) - ell :]) for i, b in enumerate(blocks)])
     return assemble(blocks, ordering, ell)

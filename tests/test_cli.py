@@ -298,6 +298,10 @@ def test_fractional_ghost_cost_prices_each_choice_as_one_product(tmp_path):
         ({"sub_default": 0.5}, "sub_default is not a non-negative integer"),
         ({"sub": {"z": 1}}, "token 'z' is not in the alphabet"),
         ({"ghost_default": -5}, "ghost_default is negative: -5"),
+        # Integers beyond any float, so beyond any capacity: theta is a float.
+        ({"ghost_default": 10**400}, "ghost_default is not a finite number in float range: 1000"),
+        ({"sub": {"a": 10**400}}, "sub['a'] is not a non-negative integer in float range: 1000"),
+        ({"sub_default": 10**400}, "sub_default is not a non-negative integer in float range: 1000"),
     ],
 )
 def test_malformed_cost_model_is_input_error_before_any_stage(tmp_path, example1_files, capsys, monkeypatch, spec, named):
@@ -404,6 +408,22 @@ def test_char_mode_names_the_real_line(example1_files, capsys, content, named, w
     assert main(argv) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: " + named.format(path=bad) + "\n"
+
+
+@pytest.mark.parametrize("which", ["sequence", "patterns", "cost-model", "candidate"])
+def test_undecodable_file_names_itself_and_the_byte(example1_files, capsys, which):
+    w, p, tmp = example1_files
+    bad = str(tmp / "bad.txt")
+    (tmp / "bad.txt").write_bytes(b"aab\xffa\n")
+    argv = {
+        "sequence": ["sanitize", "--pipeline", "tpm", "--k", "4", "--in", bad, "--patterns", p],
+        "patterns": ["sanitize", "--pipeline", "tpm", "--k", "4", "--in", w, "--patterns", bad],
+        "cost-model": ["sanitize", "--pipeline", "tpm", "--k", "4", "--cost-model", bad, "--in", w, "--patterns", p],
+        "candidate": ["verify", "--k", "4", "--in", w, "--patterns", p, "--candidate", bad],
+    }[which]
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {bad}: byte offset 3: not UTF-8 (invalid start byte)\n"
 
 
 def test_token_candidate_with_a_foreign_token_names_its_place(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import time
 from collections import Counter, defaultdict, deque
@@ -6,12 +7,11 @@ from collections import Counter, defaultdict, deque
 import pytest
 
 from seqsan import (
-    BlockTooShort,
+    Alphabet,
     RankPair,
     build_instance,
     fo_ssm,
     pfs_sanitize,
-    rank_blocks,
     tfs_sanitize,
     verify,
     verify_levels,
@@ -19,26 +19,6 @@ from seqsan import (
 from seqsan.pfs import assemble
 from conftest import random_instance
 from oracles import oracle_fo_ssm
-
-
-class TestRankBlocks:
-    def test_example_blocks(self):
-        pairs = rank_blocks(["aabaa", "aaacbcbbba", "baabbacaab"], 3)
-        # affixes sorted: aaa=1 aab=2 baa=3 bba=4
-        assert [(p.prefix_rank, p.suffix_rank) for p in pairs] == [(2, 3), (1, 4), (3, 2)]
-
-    def test_single_block(self):
-        pairs = rank_blocks(["abcd"], 2)
-        assert [(p.prefix_rank, p.suffix_rank) for p in pairs] == [(1, 2)]
-
-    def test_duplicate_blocks_share_ranks(self):
-        pairs = rank_blocks(["abca", "abca"], 2)
-        assert pairs[0].prefix_rank == pairs[1].prefix_rank
-        assert pairs[0].suffix_rank == pairs[1].suffix_rank
-
-    def test_block_too_short(self):
-        with pytest.raises(BlockTooShort):
-            rank_blocks(["ab"], 2)
 
 
 class TestFoSsm:
@@ -218,13 +198,31 @@ class TestFoSsmAgainstRescanning:
 
 
 def _pfs_of_the_split_tfs_output(inst):
-    """PFS built from the TFS output's blocks, split at its separators, as before it read `inst.chains`."""
+    """PFS as built before it read `inst.chains` and keyed its trail graph by the affixes themselves.
+
+    The blocks are the TFS output's, split at its separators, and each affix is replaced by its integer rank.
+    """
     x = tfs_sanitize(inst)
     if "#" not in x:
         return x
     blocks = x.split("#")
     ell = inst.k - 1
-    return assemble(blocks, fo_ssm(rank_blocks(blocks, ell)), ell)
+    affixes = sorted({b[:ell] for b in blocks} | {b[len(b) - ell :] for b in blocks})
+    rank = {a: r for r, a in enumerate(affixes, start=1)}
+    pairs = [RankPair(i, rank[b[:ell]], rank[b[len(b) - ell :]]) for i, b in enumerate(blocks)]
+    return assemble(blocks, fo_ssm(pairs), ell)
+
+
+def _token_instance(rng, rate):
+    """Random tokens over 300 letters, some of their runs repeated so that affixes recur; k is 1 to 5."""
+    tokens = [str(rng.randrange(300)) for _ in range(rng.randint(6, 300))]
+    words = [tokens[i : i + rng.randint(1, 5)] for i in range(rng.randint(1, 6))]
+    tokens += [t for _ in range(rng.randint(0, 40)) for t in rng.choice(words)]
+    alphabet = Alphabet.from_tokens(tokens)
+    text = alphabet.encode(tokens)
+    k = rng.randint(1, 5)
+    windows = sorted({text[i : i + k] for i in range(len(text) - k + 1)})
+    return build_instance(text, k, patterns=[w for w in windows if rng.random() < rate], alphabet=alphabet)
 
 
 class TestPfsSanitize:
@@ -237,6 +235,27 @@ class TestPfsSanitize:
             assert pfs_sanitize(inst) == _pfs_of_the_split_tfs_output(inst), (inst.text, inst.k, inst.sensitive_patterns)
             by_chains[min(len(inst.chains), 2)] += 1
         assert min(by_chains[0], by_chains[1], by_chains[2]) > 500, by_chains  # no chain, one chain, several
+
+    def test_outputs_are_pinned(self):
+        # Trail order, edge order and trail joins all show in the outputs; the digest was taken when the
+        # trail graph's nodes were integer ranks of the affixes.
+        rng = random.Random(36)
+        digest = hashlib.sha256()
+        seen = Counter()
+        for trial in range(2000):
+            rate = rng.uniform(0.05, 0.5) if trial % 3 else float(trial % 2)  # a third have none or all sensitive
+            if trial % 4:
+                inst = random_instance(rng, n_min=4, n_max=40, sigmas=(1, 2, 3, 4, 10), ks=(1, 2, 3, 4, 5), sensitive_rate=rate)
+            else:
+                inst = _token_instance(rng, rate)
+            y = pfs_sanitize(inst)
+            digest.update(repr(y).encode())
+            seen[f"{min(len(inst.chains), 2)} chains"] += 1
+            if len(inst.alphabet.tokens) >= 100:
+                seen["100+ letters"] += 1
+                seen["100+ letters, merged"] += y.count("#") < tfs_sanitize(inst).count("#")
+        assert min(seen.values()) >= 50, seen
+        assert digest.hexdigest() == "70b4d725e1f4980e2589be1f205180ee427d44c1b78b565104daa8e04ad6eec0"
 
     def test_example2_length_and_verifiers(self, example1):
         y = pfs_sanitize(example1)

@@ -16,14 +16,7 @@ from .core import (
     kmer_counts,
     overlap_chains,
 )
-from .errors import (
-    BadK,
-    BadPosition,
-    Infeasible,
-    SanitizationError,
-    SeparatorInInput,
-    UndefinedWhenZero,
-)
+from .errors import Infeasible, SanitizationError
 from .etfs import MatchResult, SanRegex, approx_regex_match, build_regex, etfs_sanitize
 from .mcsr import (
     CostModel,
@@ -47,7 +40,7 @@ from .metrics import (
     verify,
     verify_levels,
 )
-from .pfs import RankPair, fo_ssm, pfs_sanitize
+from .pfs import fo_ssm, pfs_sanitize
 from .tfs import tfs_sanitize
 
 __version__ = "0.1.0"
@@ -63,7 +56,6 @@ __all__ = [
     "tfs_sanitize",
     "pfs_sanitize",
     "fo_ssm",
-    "RankPair",
     "mcsr_sanitize",
     "separator_sites",
     "candidate_ghosts",
@@ -88,9 +80,5 @@ __all__ = [
     "VerifyResult",
     "MetricsReport",
     "SanitizationError",
-    "SeparatorInInput",
-    "BadK",
-    "BadPosition",
     "Infeasible",
-    "UndefinedWhenZero",
 ]

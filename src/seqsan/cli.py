@@ -133,13 +133,21 @@ def _weight(name: str, value) -> int:
     raise ValueError(f"{name} is not a non-negative integer in float range: {value!r}")
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer; one with too many digits for `int` is far beyond float range, and reads as ±inf, as 1e999 does."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
     """'uniform', or the JSON file `--cost-model` names; a malformed file is an input error naming it and the field."""
     if args.cost_model == "uniform":
         return uniform_cost_model(tau=args.tau, theta=args.theta)
     path = args.cost_model
     try:
-        spec = json.loads(_read(path))
+        spec = json.loads(_read(path), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON") from exc
     if not isinstance(spec, dict):
@@ -154,6 +162,8 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
         raise InputError(f"{path}: ghost_default is negative: {ghost_default!r}")
     if not isinstance(weights, dict):
         raise InputError(f"{path}: sub is not an object of substitution weights: {weights!r}")
+    if "" in weights and "epsilon" in weights:
+        raise InputError(f"{path}: sub weighs deletion twice, as '' and as 'epsilon'")
     try:
         sub_default = _weight("sub_default", spec.get("sub_default", 1))
         table = {

@@ -33,8 +33,6 @@ from functools import cached_property
 from itertools import compress, islice
 from typing import Iterable, Iterator
 
-from .errors import BadK, BadPosition, SeparatorInInput
-
 SEPARATOR = "#"
 
 # Token-mode letters are mapped into the Unicode private-use area, far away
@@ -66,7 +64,7 @@ class Alphabet:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("alphabet tokens must be unique")
         if SEPARATOR in self.tokens:
-            raise SeparatorInInput("the separator '#' cannot be an alphabet letter")
+            raise ValueError("the separator '#' cannot be an alphabet letter")
         if not self.token_mode:
             for tok in self.tokens:
                 if len(tok) != 1:
@@ -191,21 +189,21 @@ def build_instance(
     logged.
     """
     if SEPARATOR in text:
-        raise SeparatorInInput("input sequence contains the reserved separator '#'")
+        raise ValueError("input sequence contains the reserved separator '#'")
     n = len(text)
     if not 0 < k < n:
-        raise BadK(f"k must satisfy 0 < k < {n}, got {k}")
+        raise ValueError(f"k must satisfy 0 < k < {n}, got {k}")
     if alphabet is None:
         alphabet = Alphabet.from_text(text)
 
     wanted: set[str] = set()
     for pat in patterns:
         if len(pat) != k:
-            raise BadK(f"sensitive pattern {pat!r} does not have length k={k}")
+            raise ValueError(f"sensitive pattern {pat!r} does not have length k={k}")
         wanted.add(pat)
     for pos in positions:
         if not 0 <= pos <= n - k:
-            raise BadPosition(f"position {pos} outside valid range 0..{n - k}")
+            raise ValueError(f"position {pos} outside valid range 0..{n - k}")
         wanted.add(text[pos : pos + k])
 
     # One lookup per window; every occurrence of a wanted pattern is marked, which is the closure.
@@ -231,7 +229,7 @@ def kmer_counts(text: str, k: int) -> Counter[str]:
     alphabet-only patterns as keys.
     """
     if k < 1:
-        raise BadK(f"k must be positive, got {k}")
+        raise ValueError(f"k must be positive, got {k}")
     return Counter(_windows(text, k))
 
 

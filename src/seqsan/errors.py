@@ -1,25 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; a bad argument raises ValueError."""
 
 
 class SanitizationError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class SeparatorInInput(SanitizationError):
-    """The input sequence contains the reserved separator token '#'."""
-
-
-class BadK(SanitizationError):
-    """Pattern length k is out of range, or a supplied pattern has the wrong length."""
-
-
-class BadPosition(SanitizationError):
-    """A sensitive position falls outside the valid occurrence range."""
+    """Base class of `Infeasible` and of the command line's input errors."""
 
 
 class Infeasible(SanitizationError):
     """No separator replacement satisfies the safety and capacity constraints."""
-
-
-class UndefinedWhenZero(SanitizationError):
-    """Relative error is undefined because the reference distance is zero."""

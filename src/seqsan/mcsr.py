@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Mapping, NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance, _windows, kmer_counts
-from .errors import BadK, Infeasible
+from .errors import Infeasible
 
 EPSILON = ""  # deletion pseudo-letter
 _NO_CHOICE = "no admissible choice for separator {}; Z cannot be constructed"
@@ -258,34 +258,27 @@ def implausible_set(inst: SanitizationInstance, rho: float) -> frozenset[str]:
     """
     text, k = inst.text, inst.k
     if k <= 2:
-        raise BadK(f"implausibility needs k > 2, got {k}")
+        raise ValueError(f"implausibility needs k > 2, got {k}")
     if rho >= 0:
         raise ValueError(f"rho must be negative, got {rho}")
     counts_k = inst.counts
     counts_km1 = kmer_counts(text, k - 1)
     counts_km2 = kmer_counts(text, k - 2)
 
-    by_core_left: dict[str, list[str]] = defaultdict(list)  # core -> first letters
-    by_core_right: dict[str, list[str]] = defaultdict(list)  # core -> last letters
+    lasts_of: dict[str, list[str]] = defaultdict(list)  # core -> the letters that follow it in a (k-1)-mer
     for part in counts_km1:
-        by_core_left[part[1:]].append(part[0])
-        by_core_right[part[:-1]].append(part[-1])
+        lasts_of[part[:-1]].append(part[-1])
 
     found: set[str] = set()
-    for core, firsts in by_core_left.items():
-        lasts = by_core_right.get(core)
-        if not lasts:
-            continue
+    for left_part, left_freq in counts_km1.items():
+        core = left_part[1:]
         mid = counts_km2[core]  # never 0: the core is the suffix of an occurring (k-1)-mer, so it occurs
-        for a in firsts:
-            left_part = a + core
-            left_freq = counts_km1[left_part]
-            for b in lasts:
-                pattern = left_part + b
-                expected = left_freq * counts_km1[core + b] / mid
-                score = (counts_k.get(pattern, 0) - expected) / max(math.sqrt(expected), 1.0)
-                if score < rho:
-                    found.add(pattern)
+        for b in lasts_of.get(core, ()):
+            pattern = left_part + b
+            expected = left_freq * counts_km1[core + b] / mid
+            score = (counts_k.get(pattern, 0) - expected) / max(math.sqrt(expected), 1.0)
+            if score < rho:
+                found.add(pattern)
     return frozenset(found)
 
 

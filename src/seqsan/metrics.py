@@ -43,7 +43,6 @@ from .core import (
     contains_sensitive,
     kmer_counts,
 )
-from .errors import UndefinedWhenZero
 
 VERIFY_LEVELS = ("C1", "P1", "Pi1", "P2", "P3", "P4")
 
@@ -296,5 +295,5 @@ def edre(heuristic: int, optimal: int) -> float:
     if optimal == 0:
         if heuristic == 0:
             return 0.0
-        raise UndefinedWhenZero("optimal edit distance is zero but heuristic distance is not")
+        raise ValueError("optimal edit distance is zero but heuristic distance is not")
     return (heuristic - optimal) / optimal

@@ -7,10 +7,11 @@ material anyway), and any block whose length-(k-1) prefix equals another
 block's length-(k-1) suffix can absorb it, dropping one separator and k-1
 duplicated letters.  Finding the arrangement with the most such absorptions
 is a shortest-superstring question that stays tractable here because each
-block is summarized by just its two affixes: build the multigraph whose nodes
-are the affixes, with one edge per block from its prefix to its suffix, then
-decompose it into the minimum number of edge-disjoint trails.  Every trail
-spells a run of merged blocks; trails are joined with separators.
+block is summarized by just its two affixes: `fo_ssm` takes their list, block
+i at position i, builds the multigraph whose nodes are the affixes, with one
+edge per block from its prefix to its suffix, and decomposes it into the
+minimum number of edge-disjoint trails of block ids.  Every trail spells a
+run of merged blocks; trails are joined with separators.
 
 Tie-breaking (start node, edge choice, trail order) is deterministic; apart
 from sorting, the decomposition is linear in the blocks (Hierholzer 1873).
@@ -20,39 +21,30 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance
 
 
-class RankPair(NamedTuple):
-    """A block as the ranks of its length-l prefix and suffix: any keys that sort as the affixes do, the affixes themselves included."""
+def fo_ssm(affixes: list[tuple[str, str]]) -> list[list[int]]:
+    """Minimum trail decomposition of the affix multigraph.
 
-    block_id: int
-    prefix_rank: str | int
-    suffix_rank: str | int
-
-
-def fo_ssm(pairs: list[RankPair]) -> list[list[int]]:
-    """Minimum trail decomposition of the affix-rank multigraph.
-
-    Returns lists of block ids.  Within a list, consecutive blocks satisfy
-    suffix_rank(left) == prefix_rank(right) and are meant to be merged;
-    separate lists are meant to be concatenated with a separator.  The number
-    of lists is minimal, which makes the induced output length minimal.
+    `affixes` holds one (prefix, suffix) pair per block, and block i is
+    position i: an edge from its prefix to its suffix.  The labels need only
+    hash and sort as the affixes do.  Returns lists of block ids.  Within a
+    list, consecutive blocks satisfy suffix(left) == prefix(right) and are
+    meant to be merged; separate lists are meant to be concatenated with a
+    separator.  The number of lists is minimal, which makes the induced output
+    length minimal.
     """
-    if not pairs:
-        return []
-
-    out_edges: dict[int, deque[tuple[int, int]]] = defaultdict(deque)  # unused edges, smallest first
-    for pr in pairs:
-        out_edges[pr.prefix_rank].append((pr.suffix_rank, pr.block_id))
+    out_edges: dict[str, deque[tuple[str, int]]] = defaultdict(deque)  # unused edges, smallest first
+    for bid, (prefix, suffix) in enumerate(affixes):
+        out_edges[prefix].append((suffix, bid))
     out_edges.update({v: deque(sorted(edges)) for v, edges in out_edges.items()})
-    surplus = Counter([pr.prefix_rank for pr in pairs])  # out- minus in-degree
-    surplus.subtract([pr.suffix_rank for pr in pairs])
+    surplus = Counter([prefix for prefix, _ in affixes])  # out- minus in-degree
+    surplus.subtract([suffix for _, suffix in affixes])
     nodes = sorted(surplus)
 
-    def walk(start: int) -> tuple[list[int], list[int]]:
+    def walk(start: str) -> tuple[list[str], list[int]]:
         """Consume edges greedily from `start` until stuck; smallest edge first."""
         node_seq, bid_seq, edges = [start], [], out_edges[start]
         while edges:
@@ -63,9 +55,9 @@ def fo_ssm(pairs: list[RankPair]) -> list[list[int]]:
         return node_seq, bid_seq
 
     trails: list[list[int]] = []  # block ids along each trail's own walk
-    first: dict[int, tuple[int, ...]] = {}  # node -> its first visit on the first trail through it
+    first: dict[str, tuple[int, ...]] = {}  # node -> its first visit on the first trail through it
 
-    def add_trail(t_nodes: list[int], t_bids: list[int]) -> None:
+    def add_trail(t_nodes: list[str], t_bids: list[int]) -> None:
         for i, v in enumerate(t_nodes):
             if v not in first:
                 first[v] = (len(trails), i)
@@ -73,7 +65,7 @@ def fo_ssm(pairs: list[RankPair]) -> list[list[int]]:
 
     # Unbalanced nodes seed the trails, which pins the decomposition size.  A
     # walk ends only at a node with no out-edges left, so it lifts no node's
-    # surplus above zero: each node, in rank order, seeds its surplus of trails.
+    # surplus above zero: each node, in sorted order, seeds its surplus of trails.
     for v in nodes:
         for _ in range(surplus[v]):
             add_trail(*walk(v))
@@ -113,19 +105,18 @@ def fo_ssm(pairs: list[RankPair]) -> list[list[int]]:
             trails[t].append(edge[0])
             edge = after.get(edge[1])
 
-    # Order trails round-robin over their start ranks.  Any order is valid and
+    # Order trails round-robin over their start nodes.  Any order is valid and
     # equally short; interleaving keeps equal junction contexts from clustering,
     # which would otherwise pile the separator-replacement stage's new windows
     # onto a handful of patterns.
-    by_id = {p.block_id: p for p in pairs}
-    groups: dict[int, deque[list[int]]] = defaultdict(deque)
+    groups: dict[str, deque[list[int]]] = defaultdict(deque)
     for bids in sorted(trails, key=min):
-        groups[by_id[bids[0]].prefix_rank].append(bids)
-    ranks = sorted(groups)
+        groups[affixes[bids[0]][0]].append(bids)
+    starts = sorted(groups)
     ordering: list[list[int]] = []
-    while ranks:
-        ordering.extend(groups[r].popleft() for r in ranks)
-        ranks = [r for r in ranks if groups[r]]
+    while starts:
+        ordering.extend(groups[v].popleft() for v in starts)
+        starts = [v for v in starts if groups[v]]
     return ordering
 
 
@@ -143,5 +134,4 @@ def pfs_sanitize(inst: SanitizationInstance) -> str:
     """Shortest chain- and frequency-preserving sanitized string, built from the instance's overlap chains."""
     blocks = inst.chains
     ell = inst.k - 1
-    ordering = fo_ssm([RankPair(i, b[:ell], b[len(b) - ell :]) for i, b in enumerate(blocks)])
-    return assemble(blocks, ordering, ell)
+    return assemble(blocks, fo_ssm([(b[:ell], b[len(b) - ell :]) for b in blocks]), ell)

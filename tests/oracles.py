@@ -18,7 +18,6 @@ from seqsan.core import SEPARATOR, SanitizationInstance
 from seqsan.errors import Infeasible, SanitizationError
 from seqsan.etfs import ANY, SanRegex
 from seqsan.mcsr import MckElement, MckInstance
-from seqsan.pfs import RankPair
 
 
 class BudgetExceeded(SanitizationError):
@@ -185,18 +184,18 @@ def oracle_mck(inst: MckInstance, budget: OracleBudget = OracleBudget()) -> tupl
 
 
 def oracle_fo_ssm(
-    pairs: list[RankPair],
+    affixes: list[tuple],
     block_lengths: list[int],
     ell: int,
     budget: OracleBudget = OracleBudget(),
 ) -> int:
     """Minimal assembled length over all block permutations.
 
-    Adjacent blocks merge (dropping ell letters and the separator) exactly when
-    the left suffix rank equals the right prefix rank; other junctions cost one
-    separator.
+    Block i has the (prefix, suffix) pair `affixes[i]`.  Adjacent blocks merge
+    (dropping ell letters and the separator) exactly when the left suffix
+    equals the right prefix; other junctions cost one separator.
     """
-    n_blocks = len(pairs)
+    n_blocks = len(affixes)
     if n_blocks == 0:
         return 0
     combos = 1
@@ -206,10 +205,10 @@ def oracle_fo_ssm(
             raise BudgetExceeded(f"{n_blocks}! permutations exceed oracle budget {budget.max_candidates}")
     base = sum(block_lengths)
     best = None
-    for perm in itertools.permutations(pairs):
+    for perm in itertools.permutations(affixes):
         length = base
-        for left, right in zip(perm, perm[1:]):
-            if left.suffix_rank == right.prefix_rank:
+        for (_, left_suffix), (right_prefix, _) in zip(perm, perm[1:]):
+            if left_suffix == right_prefix:
                 length -= ell
             else:
                 length += 1

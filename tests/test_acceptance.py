@@ -32,7 +32,6 @@ from seqsan import (
     verify_levels,
 )
 from seqsan.metrics import frequency_changes
-from seqsan.pfs import RankPair
 from oracles import oracle_fo_ssm, oracle_mck, oracle_min_etfs, oracle_min_tfs
 
 LETTERS = "abcdefghij"
@@ -142,12 +141,12 @@ def test_criterion_3_oracle_equivalence():
     for _ in range(100):
         nb = rng.randint(1, 6)
         ell = rng.randint(1, 3)
-        pairs = [RankPair(i, rng.randint(1, 4), rng.randint(1, 4)) for i in range(nb)]
+        affixes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(nb)]
         lengths = [rng.randint(ell + 1, ell + 5) for _ in range(nb)]
-        ordering = fo_ssm(pairs)
+        ordering = fo_ssm(affixes)
         merges = sum(len(t) - 1 for t in ordering)
         induced = sum(lengths) + (len(ordering) - 1) - merges * ell
-        assert induced == oracle_fo_ssm(pairs, lengths, ell)
+        assert induced == oracle_fo_ssm(affixes, lengths, ell)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"oracle suite took {elapsed:.1f}s; budget is 5 minutes"

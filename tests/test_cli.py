@@ -137,6 +137,21 @@ def test_bad_pattern_length_is_input_error(tmp_path):
     assert code == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize(
+    "k, patterns, flags, last",
+    [
+        ("9", "", [], "error: k must satisfy 0 < k < 8, got 9"),
+        ("3", "0\n6\n", ["--positions"], "error: position 6 outside valid range 0..5"),
+    ],
+    ids=["k of 9 on 8 letters", "position past n - k"],
+)
+def test_k_or_position_out_of_range_names_the_range(tmp_path, capsys, k, patterns, flags, last):
+    w = write(tmp_path / "w.txt", "abcabcab\n")
+    p = write(tmp_path / "p.txt", patterns)
+    assert main(["sanitize", "--pipeline", "tfs", "--k", k, "--in", w, "--patterns", p, *flags]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.strip().splitlines()[-1] == last
+
+
 def test_token_mode_round_trip(tmp_path):
     w = write(tmp_path / "w.txt", "3 1 4 1 5 9 2 6\n")
     p = write(tmp_path / "p.txt", "1 5\n")
@@ -302,6 +317,14 @@ def test_fractional_ghost_cost_prices_each_choice_as_one_product(tmp_path):
         ({"ghost_default": 10**400}, "ghost_default is not a finite number in float range: 1000"),
         ({"sub": {"a": 10**400}}, "sub['a'] is not a non-negative integer in float range: 1000"),
         ({"sub_default": 10**400}, "sub_default is not a non-negative integer in float range: 1000"),
+        ({"sub": {"": 0, "epsilon": 5}}, "sub weighs deletion twice, as '' and as 'epsilon'"),
+        # Integers too long for int(), given as file text: json.dumps cannot print them either.
+        pytest.param('{"ghost_default": 1' + "0" * 5000 + "}", "ghost_default is not a finite number in float range: inf",
+                     id="ghost_default of 5001 digits"),
+        pytest.param('{"sub": {"a": 1' + "0" * 5000 + "}}", "sub['a'] is not a non-negative integer in float range: inf",
+                     id="sub of 5001 digits"),
+        pytest.param('{"sub_default": 1' + "0" * 5000 + "}", "sub_default is not a non-negative integer in float range: inf",
+                     id="sub_default of 5001 digits"),
     ],
 )
 def test_malformed_cost_model_is_input_error_before_any_stage(tmp_path, example1_files, capsys, monkeypatch, spec, named):
@@ -310,7 +333,7 @@ def test_malformed_cost_model_is_input_error_before_any_stage(tmp_path, example1
 
     monkeypatch.setattr(cli, "tfs_sanitize", no_stage_may_run)
     w, p, _tmp = example1_files
-    cm = write(tmp_path / "cm.json", json.dumps(spec))
+    cm = write(tmp_path / "cm.json", spec if isinstance(spec, str) else json.dumps(spec))
     for pipeline in ("tpm", "tm", "tmi"):
         argv = ["sanitize", "--pipeline", pipeline, "--k", "4", "--rho", "-1", "--cost-model", cm, "--in", w, "--patterns", p]
         assert main(argv) == EXIT_INPUT_ERROR

@@ -10,7 +10,6 @@ import pytest
 import seqsan.mcsr as mcsr_mod
 from seqsan import (
     Alphabet,
-    BadK,
     CostModel,
     Infeasible,
     MckElement,
@@ -597,7 +596,7 @@ class TestImplausibleSet:
     def test_rho_zero_rejected(self):
         with pytest.raises(ValueError):
             implausible_set(build_instance("abcabc", 3), 0.0)
-        with pytest.raises(BadK):
+        with pytest.raises(ValueError, match="implausibility needs k > 2, got 2"):
             implausible_set(build_instance("abcabc", 2), -1.0)
 
 

@@ -13,7 +13,6 @@ from seqsan import (
     tfs_sanitize,
     verify_levels,
 )
-from seqsan.pfs import RankPair
 from conftest import random_instance
 from oracles import BudgetExceeded, OracleBudget, matches, oracle_fo_ssm, oracle_mck, oracle_min_etfs, oracle_min_tfs
 
@@ -122,13 +121,13 @@ class TestOracleMck:
 
 class TestOracleFoSsm:
     def test_single_block(self):
-        assert oracle_fo_ssm([RankPair(0, 1, 2)], [5], 3) == 5
+        assert oracle_fo_ssm([(1, 2)], [5], 3) == 5
 
     def test_example_pairs(self):
-        pairs = [RankPair(0, 2, 3), RankPair(1, 1, 4), RankPair(2, 3, 2)]
-        assert oracle_fo_ssm(pairs, [5, 10, 10], 3) == 23
+        affixes = [(2, 3), (1, 4), (3, 2)]
+        assert oracle_fo_ssm(affixes, [5, 10, 10], 3) == 23
 
     def test_budget(self):
-        pairs = [RankPair(i, 1, 1) for i in range(9)]
+        affixes = [(1, 1)] * 9
         with pytest.raises(BudgetExceeded):
-            oracle_fo_ssm(pairs, [2] * 9, 1, OracleBudget(max_candidates=1000))
+            oracle_fo_ssm(affixes, [2] * 9, 1, OracleBudget(max_candidates=1000))

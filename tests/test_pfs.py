@@ -8,7 +8,6 @@ import pytest
 
 from seqsan import (
     Alphabet,
-    RankPair,
     build_instance,
     fo_ssm,
     pfs_sanitize,
@@ -23,17 +22,16 @@ from oracles import oracle_fo_ssm
 
 class TestFoSsm:
     def test_example_decomposition(self):
-        pairs = [RankPair(0, 2, 3), RankPair(1, 1, 4), RankPair(2, 3, 2)]
-        ordering = fo_ssm(pairs)
+        ordering = fo_ssm([(2, 3), (1, 4), (3, 2)])
         assert sorted(bid for trail in ordering for bid in trail) == [0, 1, 2]
         assert len(ordering) == 2
         assert sum(len(t) - 1 for t in ordering) == 1  # exactly one merge
 
     def test_single_pair(self):
-        assert fo_ssm([RankPair(0, 1, 2)]) == [[0]]
+        assert fo_ssm([(1, 2)]) == [[0]]
 
     def test_two_block_cycle_single_trail(self):
-        ordering = fo_ssm([RankPair(0, 1, 2), RankPair(1, 2, 1)])
+        ordering = fo_ssm([(1, 2), (2, 1)])
         assert len(ordering) == 1
         assert sorted(ordering[0]) == [0, 1]
 
@@ -41,43 +39,42 @@ class TestFoSsm:
         rng = random.Random(8)
         for _ in range(100):
             nb = rng.randint(1, 7)
-            pairs = [RankPair(i, rng.randint(1, 4), rng.randint(1, 4)) for i in range(nb)]
-            ordering = fo_ssm(pairs)
-            by_id = {p.block_id: p for p in pairs}
+            affixes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(nb)]
+            ordering = fo_ssm(affixes)
             assert sorted(b for t in ordering for b in t) == list(range(nb))
             for trail in ordering:
                 for left, right in zip(trail, trail[1:]):
-                    assert by_id[left].suffix_rank == by_id[right].prefix_rank
+                    assert affixes[left][1] == affixes[right][0]
 
     def test_matches_permutation_oracle(self):
         rng = random.Random(9)
         for _ in range(100):
             nb = rng.randint(1, 6)
             ell = rng.randint(1, 3)
-            pairs = [RankPair(i, rng.randint(1, 4), rng.randint(1, 4)) for i in range(nb)]
+            affixes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(nb)]
             lengths = [rng.randint(ell + 1, ell + 5) for _ in range(nb)]
-            ordering = fo_ssm(pairs)
+            ordering = fo_ssm(affixes)
             merges = sum(len(t) - 1 for t in ordering)
             induced = sum(lengths) + (len(ordering) - 1) - merges * ell
-            assert induced == oracle_fo_ssm(pairs, lengths, ell)
+            assert induced == oracle_fo_ssm(affixes, lengths, ell)
 
 
-def _rescanning_fo_ssm(pairs):
+def _rescanning_fo_ssm(affixes):
     """The rescanning decomposition `fo_ssm` replaced, kept as the reference for its orderings.
 
     Phase 1 rescans the nodes for the first unbalanced one before every walk;
     phase 2 rescans them for the first on-trail node with edges left, and
     every trail for the first position a cycle shares.
     """
-    if not pairs:
+    if not affixes:
         return []
     out_edges = defaultdict(deque)
     out_deg = defaultdict(int)
     in_deg = defaultdict(int)
-    for pr in sorted(pairs, key=lambda p: (p.prefix_rank, p.suffix_rank, p.block_id)):
-        out_edges[pr.prefix_rank].append((pr.suffix_rank, pr.block_id))
-        out_deg[pr.prefix_rank] += 1
-        in_deg[pr.suffix_rank] += 1
+    for prefix, suffix, bid in sorted((prefix, suffix, bid) for bid, (prefix, suffix) in enumerate(affixes)):
+        out_edges[prefix].append((suffix, bid))
+        out_deg[prefix] += 1
+        in_deg[suffix] += 1
     nodes = sorted(set(out_deg) | set(in_deg))
 
     def walk(start):
@@ -122,10 +119,9 @@ def _rescanning_fo_ssm(pairs):
         else:
             add_trail(cyc_nodes, cyc_bids)
 
-    by_id = {p.block_id: p for p in pairs}
     groups = defaultdict(deque)
     for bids in sorted((bids for _, bids in trails), key=min):
-        groups[by_id[bids[0]].prefix_rank].append(bids)
+        groups[affixes[bids[0]][0]].append(bids)
     ranks = sorted(groups)
     ordering = []
     while any(groups[r] for r in ranks):
@@ -137,11 +133,11 @@ def _rescanning_fo_ssm(pairs):
 
 def _cycles_through_a_trail(length):
     """A trail 1 -> 2 -> ... -> length + 1, and a two-edge cycle v -> x_v -> v off each of its nodes but the last."""
-    pairs = [RankPair(i, i + 1, i + 2) for i in range(length)]
+    affixes = [(i + 1, i + 2) for i in range(length)]
     for v in range(1, length + 1):
         x = length + 1 + v
-        pairs += [RankPair(len(pairs), v, x), RankPair(len(pairs) + 1, x, v)]
-    return pairs
+        affixes += [(v, x), (x, v)]
+    return affixes
 
 
 class TestFoSsmAgainstRescanning:
@@ -160,15 +156,13 @@ class TestFoSsmAgainstRescanning:
                 edges = edges[:30]
             else:
                 edges = [(rng.randint(1, ranks), rng.randint(1, ranks)) for _ in range(rng.randint(1, 30))]
-            pairs = [RankPair(i, a, b) for i, (a, b) in enumerate(edges)]
-            rng.shuffle(pairs)
-            want = _rescanning_fo_ssm(pairs)
-            assert fo_ssm(pairs) == want, pairs
-            balanced = Counter(p.prefix_rank for p in pairs) == Counter(p.suffix_rank for p in pairs)
+            rng.shuffle(edges)
+            want = _rescanning_fo_ssm(edges)
+            assert fo_ssm(edges) == want, edges
+            balanced = Counter(prefix for prefix, _ in edges) == Counter(suffix for _, suffix in edges)
             seen["balanced" if balanced else "open"] += 1
-            by_id = {p.block_id: p for p in pairs}
             for trail in want:
-                nodes = [by_id[trail[0]].prefix_rank] + [by_id[b].suffix_rank for b in trail]
+                nodes = [edges[trail[0]][0]] + [edges[b][1] for b in trail]
                 if len(set(nodes)) < len(nodes) - 1:  # a node visited twice besides a closed trail's ends
                     seen["revisits"] += 1
                     break
@@ -176,7 +170,7 @@ class TestFoSsmAgainstRescanning:
 
     def test_many_cycles_through_one_trail_scale_linearly(self):
         def best_time(length):
-            pairs = _cycles_through_a_trail(length)
+            affixes = _cycles_through_a_trail(length)
             times = []
             for _ in range(3):
                 gc.collect()
@@ -184,7 +178,7 @@ class TestFoSsmAgainstRescanning:
                 gc.disable()  # no collection inside a timing, as timeit does
                 try:
                     start = time.perf_counter()
-                    ordering = fo_ssm(pairs)
+                    ordering = fo_ssm(affixes)
                     times.append(time.perf_counter() - start)
                 finally:
                     if enabled:
@@ -209,8 +203,7 @@ def _pfs_of_the_split_tfs_output(inst):
     ell = inst.k - 1
     affixes = sorted({b[:ell] for b in blocks} | {b[len(b) - ell :] for b in blocks})
     rank = {a: r for r, a in enumerate(affixes, start=1)}
-    pairs = [RankPair(i, rank[b[:ell]], rank[b[len(b) - ell :]]) for i, b in enumerate(blocks)]
-    return assemble(blocks, fo_ssm(pairs), ell)
+    return assemble(blocks, fo_ssm([(rank[b[:ell]], rank[b[len(b) - ell :]]) for b in blocks]), ell)
 
 
 def _token_instance(rng, rate):

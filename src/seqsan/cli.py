@@ -63,17 +63,20 @@ def _read(path: str) -> str:
         raise InputError(f"{path}: byte offset {exc.start}: not UTF-8 ({exc.reason})") from None
 
 
-def _char_line(path: str, raw: str, forbidden: str) -> str:
-    """The one non-empty line of a char-mode file, or '' if none; a second one or a `forbidden` character names its line and column."""
+def _char_line(path: str, raw: str) -> tuple[int, str]:
+    """The number and text of the one non-empty line of a char-mode file, or (1, '') if none; a second one names its line."""
     lines = [(lineno, ln) for lineno, ln in enumerate(raw.splitlines(), start=1) if ln]
     if len(lines) > 1:
         raise InputError(f"{path}:{lines[1][0]}:1: char-mode input must be a single line")
-    lineno, text = lines[0] if lines else (1, "")
+    return lines[0] if lines else (1, "")
+
+
+def _refuse(path: str, lineno: int, text: str, forbidden: str) -> None:
+    """Raise an input error naming the line and column of the first `forbidden` character of `text`, if it has one."""
     bad = re.search(forbidden, text)
     if bad:
         what = "reserved separator '#' in input" if bad.group() == SEPARATOR else "whitespace inside char-mode sequence"
         raise InputError(f"{path}:{lineno}:{bad.start() + 1}: {what}")
-    return text
 
 
 def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
@@ -87,10 +90,14 @@ def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
             raise InputError(f"{path}:1:{col}: reserved separator '#' in input")
         alphabet = Alphabet.from_tokens(tokens)
         return alphabet.encode(tokens), alphabet
-    text = _char_line(path, raw, r"[#\s]")  # SEPARATOR or whitespace; `\s` matches exactly what str.isspace() accepts
+    lineno, text = _char_line(path, raw)
+    # The sequence's few distinct letters are checked, and the line searched only to name the place of a bad one.
+    letters = set(text)
+    if SEPARATOR in letters or any(map(str.isspace, letters)):
+        _refuse(path, lineno, text, r"[#\s]")  # `\s` matches exactly what str.isspace() accepts
     if not text:
         raise InputError(f"{path}:1:1: empty sequence")
-    return text, Alphabet.from_text(text)
+    return text, Alphabet.from_text(letters)
 
 
 def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alphabet):
@@ -281,7 +288,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         candidate = "".join(map(letters.__getitem__, tokens))
     else:
         # A candidate may hold '#', and may be empty: TFS outputs '' when every window is sensitive.
-        candidate = _char_line(args.candidate, raw, r"\s")
+        lineno, candidate = _char_line(args.candidate, raw)
+        _refuse(args.candidate, lineno, candidate, r"\s")
     ok = True
     for res in mt.verify_levels(candidate, inst, args.level):
         status = "pass" if res.ok else f"FAIL ({res.detail})"

@@ -22,9 +22,11 @@ A rewrite changes the input only at its junctions, so the count of a pattern
 that no choice exposes is the same before and after.  The input is therefore
 counted only on the exposed patterns, the union of every choice's windows, in
 one pass: `McsrResult.exposed_counts`, which holds only the patterns that
-occur.  The ghost estimate reads those counts, and the output's counts of
-those patterns are them plus the windows the rewrite added
-(`McsrResult.changed_counts`).
+occur, in order of first occurrence.  The pass builds every window of the
+input with core's C-level window kernel, those through a separator too,
+which no exposed pattern matches, so no block is split.  The ghost estimate
+reads those counts, and the output's counts of those patterns are them plus
+the windows the rewrite added (`McsrResult.changed_counts`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Mapping, NamedTuple
 
-from .core import SEPARATOR, SanitizationInstance, _windows, kmer_counts
+from .core import SEPARATOR, SanitizationInstance, _letter_windows, kmer_counts
 from .errors import Infeasible
 
 EPSILON = ""  # deletion pseudo-letter
@@ -136,10 +138,17 @@ def _exposed_counts(text: str, k: int, sites: list[Site]) -> Counter[str]:
     """The count in `text` of every window some choice of `sites` exposes, in one pass.
 
     A pattern that does not occur has no entry, so the result never holds
-    more entries than `text` has windows, however many patterns are exposed.
+    more entries than `text` has windows, however many patterns are exposed;
+    the entries follow first occurrence.  The windows come from
+    `_letter_windows`, joined, across the separators too: no exposed pattern
+    holds a '#', so a window through one is never counted.  On a
+    200,000-letter PFS output with 607 separators and 19,012 exposed patterns
+    this took 8-18% less than slicing each block's windows (33-62 ms against
+    38-76 ms, six alternating processes); at 1M letters and 90,968 exposed
+    patterns the Counter's inserts dominate, and the two take about as long.
     """
     exposed = set().union(*(windows for options in sites for _choice, windows, _weight in options))
-    return Counter(filter(exposed.__contains__, _windows(text, k)))
+    return Counter(filter(exposed.__contains__, map("".join, _letter_windows(text, k))))
 
 
 def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[str, tuple[int, int]]:

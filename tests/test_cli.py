@@ -165,6 +165,18 @@ def test_token_mode_round_trip(tmp_path):
     assert tokens == ["3", "1", "4", "1", "#", "5", "9", "2", "6"]
 
 
+def test_token_report_lists_patterns_in_rank_order(tmp_path):
+    # 'a' ranks before 'a\x01', but the decoded line 'a\x01 c' sorts before 'a a\x01', as '\x01' is below the space.
+    w = write(tmp_path / "w.txt", "b a a a c a\x01\n")
+    p = write(tmp_path / "p.txt", "3\n")
+    report = tmp_path / "r.txt"
+    code = main(["sanitize", "--pipeline", "tpm", "--k", "2", "--mode", "token", "--in", w, "--patterns", p, "--positions",
+                 "--out", str(tmp_path / "z.txt"), "--report", str(report)])
+    assert code == EXIT_OK
+    ghosts = [line for line in report.read_text(encoding="utf-8").splitlines() if line.startswith("ghost=")]
+    assert ghosts == ["ghost=a a\x01", "ghost=a\x01 c"]
+
+
 def test_token_mode_absent_pattern_warning_names_the_tokens(tmp_path, caplog):
     w = write(tmp_path / "w.txt", "a b c a b c\n")
     p = write(tmp_path / "p.txt", "c c c\n")

@@ -174,6 +174,37 @@ class TestOneWindowClosure:
         assert sorted(inst.sensitive_positions) == [1, 2, 3]
         assert inst.mask == bytes([0, 1, 1, 1, 0])
 
+    def test_mask_and_patterns_match_a_per_position_scan(self):
+        rng = random.Random(27)
+        tokens = Alphabet.from_tokens(str(t) for t in range(300))
+        seen = Counter()
+        for trial in range(1500):
+            k = trial % 6 + 1
+            n = rng.randint(k + 1, 80)
+            token_mode = trial % 3 == 0
+            letters = rng.sample(tokens.chars, rng.randint(1, 3)) if token_mode else "abcd"[: rng.randint(1, 4)]
+            text = "".join(rng.choice(letters) for _ in range(n))
+            windows = [text[i : i + k] for i in range(n - k + 1)]
+            rate = rng.choice((0.03, 0.5))
+            patterns = [w for w in sorted(set(windows)) if rng.random() < rate]
+            positions = [n - k] if rng.random() < 0.3 else []
+            alphabet = tokens if token_mode else None
+            inst = build_instance(text, k, patterns=patterns, positions=positions, alphabet=alphabet)
+
+            wanted = set(patterns) | {windows[i] for i in positions}
+            mask = bytes(w in wanted for w in windows)
+            assert inst.mask == mask, (text, k, wanted)
+            assert inst.sensitive_patterns == {w for w, hit in zip(windows, mask) if hit}, (text, k, wanted)
+
+            hits = sum(mask)
+            seen[f"k={k}"] += hits > 0
+            seen["token"] += token_mode and hits > 0
+            seen["last window"] += mask[-1]
+            seen["overlap"] += any(mask[i] and mask[j] for i in range(len(mask)) for j in range(i + 1, min(i + k, len(mask))))
+            seen["sparse"] += 0 < hits <= 0.1 * len(mask)
+            seen["dense"] += hits >= 0.25 * len(mask)
+        assert min(seen.values()) > 100, seen
+
 
 class TestInheritedCounts:
     def test_tfs_and_pfs_outputs_have_the_preserved_counts(self):
@@ -235,6 +266,15 @@ class TestKmerCounts:
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k must be positive, got 0"):
             kmer_counts("ab", 0)
+
+    def test_keys_follow_first_occurrence(self):
+        # P2's detail names the first differing pattern in the order of `inst.counts`.
+        rng = random.Random(28)
+        for _ in range(500):
+            text = "".join(rng.choice("abc#") for _ in range(rng.randint(1, 40)))
+            k = rng.randint(1, 5)
+            windows = [text[i : i + k] for i in range(len(text) - k + 1)]
+            assert list(kmer_counts(text, k)) == list(dict.fromkeys(w for w in windows if "#" not in w)), (text, k)
 
 
 class TestContainsSensitive:

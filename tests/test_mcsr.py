@@ -291,6 +291,8 @@ class TestResultCounts:
             assert kmer_counts(res.text, k) == before + added, (y, k, res.text)
             assert all(res.exposed_counts[pat] == before[pat] for pat in res.exposed_counts), (y, k)
             assert all(res.exposed_counts[pat] == before[pat] for pat in added), (y, k)  # a missing pattern reads 0
+            first_seen = dict.fromkeys(y[i : i + k] for i in range(len(y) - k + 1))
+            assert list(res.exposed_counts) == [pat for pat in first_seen if pat in res.exposed_counts], (y, k)
             changed = ({pat: before[pat] for pat in added}, {pat: before[pat] + cnt for pat, cnt in added.items()})
             assert tuple(map(dict, res.changed_counts())) == changed, (y, k)
             blocks = y.split("#")

@@ -25,6 +25,7 @@ from .mcsr import (
     MckInstance,
     build_mck,
     candidate_ghosts,
+    exposure_gains,
     implausible_set,
     mcsr_sanitize,
     separator_sites,
@@ -32,7 +33,6 @@ from .mcsr import (
     uniform_cost_model,
 )
 from .metrics import (
-    MetricsReport,
     VerifyResult,
     ba_sanitize,
     edit_distance,
@@ -58,6 +58,7 @@ __all__ = [
     "fo_ssm",
     "mcsr_sanitize",
     "separator_sites",
+    "exposure_gains",
     "candidate_ghosts",
     "build_mck",
     "solve_mck",
@@ -78,7 +79,6 @@ __all__ = [
     "verify",
     "verify_levels",
     "VerifyResult",
-    "MetricsReport",
     "SanitizationError",
     "Infeasible",
 ]

@@ -28,6 +28,7 @@ import string
 import sys
 import time
 from collections import Counter
+from dataclasses import dataclass, field
 
 from . import metrics as mt
 from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance, kmer_counts
@@ -50,6 +51,43 @@ _MCSR_PIPELINES = ("tpm", "tm", "tmi")  # the pipelines that end in separator re
 
 class InputError(SanitizationError):
     """A malformed command line, or a file that failed to parse; the message names the flag or line/column."""
+
+
+@dataclass
+class MetricsReport:
+    """Flat bundle of utility measurements for one pipeline run."""
+
+    pipeline: str
+    lengths: dict[str, int] = field(default_factory=dict)
+    distortion: float | None = None
+    lost: list[str] = field(default_factory=list)
+    ghost: list[str] = field(default_factory=list)
+    edre: float | None = None
+    edit_distance: int | None = None
+    implausible_pct: float | None = None
+    runtimes_ms: dict[str, float] = field(default_factory=dict)
+
+    def to_text(self, alphabet=None) -> str:
+        """Key=value lines; list-valued metrics repeat their key per entry."""
+        dec = (lambda p: alphabet.decode(p)) if alphabet is not None else (lambda p: p)
+        lines = [f"pipeline={self.pipeline}"]
+        for name, value in sorted(self.lengths.items()):
+            lines.append(f"length_{name}={value}")
+        if self.distortion is not None:
+            lines.append(f"distortion={self.distortion:.0f}")  # an exact sum of squared integers
+        lines.append(f"lost_count={len(self.lost)}")
+        lines.extend(f"lost={dec(p)}" for p in sorted(self.lost))
+        lines.append(f"ghost_count={len(self.ghost)}")
+        lines.extend(f"ghost={dec(p)}" for p in sorted(self.ghost))
+        if self.edit_distance is not None:
+            lines.append(f"edit_distance={self.edit_distance}")
+        if self.edre is not None:
+            lines.append(f"edre={self.edre:g}")
+        if self.implausible_pct is not None:
+            lines.append(f"implausible_pct={self.implausible_pct:g}")
+        for name, value in sorted(self.runtimes_ms.items()):
+            lines.append(f"runtime_ms_{name}={value:.3f}")
+        return "\n".join(lines) + "\n"
 
 
 def _read(path: str) -> str:
@@ -182,9 +220,9 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
     return CostModel(ghost=float(ghost_default), sub=table, sub_default=sub_default, theta=args.theta, tau=args.tau)
 
 
-def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[str, mt.MetricsReport]:
+def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[str, MetricsReport]:
     """Execute the pipeline the command line names and assemble its metrics report."""
-    report = mt.MetricsReport(pipeline=args.pipeline)
+    report = MetricsReport(pipeline=args.pipeline)
     report.lengths["w"] = inst.n
     timings = report.runtimes_ms
     # Read before any stage runs, so that a malformed file fails fast.

@@ -19,14 +19,15 @@ creates are the ones the table checked for it, and the knapsack is solved
 once.
 
 A rewrite changes the input only at its junctions, so the count of a pattern
-that no choice exposes is the same before and after.  The input is therefore
-counted only on the exposed patterns, the union of every choice's windows, in
-one pass: `McsrResult.exposed_counts`, which holds only the patterns that
-occur, in order of first occurrence.  The pass builds every window of the
-input with core's C-level window kernel, those through a separator too,
-which no exposed pattern matches, so no block is split.  The ghost estimate
-reads those counts, and the output's counts of those patterns are them plus
-the windows the rewrite added (`McsrResult.changed_counts`).
+that no choice exposes is the same before and after.  The exposed patterns
+are built once, as the keys of the gain table (`exposure_gains`), and the
+input is counted only on them, in one pass: `McsrResult.exposed_counts`,
+which holds only the patterns that occur, in order of first occurrence.  The
+pass builds every window of the input with core's C-level window kernel,
+those through a separator too, which no exposed pattern matches, so no block
+is split.  The ghost test reads the gains and those counts, and the output's
+counts of those patterns are them plus the windows the rewrite added
+(`McsrResult.changed_counts`).
 """
 
 from __future__ import annotations
@@ -134,32 +135,13 @@ def separator_sites(text: str, k: int, letters: str, cm: CostModel, forbidden: f
     return sites
 
 
-def _exposed_counts(text: str, k: int, sites: list[Site]) -> Counter[str]:
-    """The count in `text` of every window some choice of `sites` exposes, in one pass.
+def exposure_gains(sites: list[Site]) -> Counter[str]:
+    """Every window some choice of `sites` exposes -> the most occurrences of it one choice per separator adds.
 
-    A pattern that does not occur has no entry, so the result never holds
-    more entries than `text` has windows, however many patterns are exposed;
-    the entries follow first occurrence.  The windows come from
-    `_letter_windows`, joined, across the separators too: no exposed pattern
-    holds a '#', so a window through one is never counted.  On a
-    200,000-letter PFS output with 607 separators and 19,012 exposed patterns
-    this took 8-18% less than slicing each block's windows (33-62 ms against
-    38-76 ms, six alternating processes); at 1M letters and 90,968 exposed
-    patterns the Counter's inserts dominate, and the two take about as long.
-    """
-    exposed = set().union(*(windows for options in sites for _choice, windows, _weight in options))
-    return Counter(filter(exposed.__contains__, map("".join, _letter_windows(text, k))))
-
-
-def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[str, tuple[int, int]]:
-    """Patterns below tau that some replacement could lift to tau: pattern -> (freq_in, max_freq_out).
-
-    max_freq_out(U) adds to U's current frequency, for every separator, the
-    largest number of occurrences of U any one choice there would create, with
-    or without a weight: the estimate is over every choice.  `counts` holds the
-    count, in the text `sites` was built from, of every window of the table;
-    no other count is read.  Only a pattern some choice gains can reach tau
-    from below, so only those are walked.
+    A pattern's gain sums, over the separators, the largest number of times
+    any one choice there creates it, with or without a weight: the estimate
+    is over every choice.  Its keys are therefore exactly the windows of the
+    table, the only patterns whose count a rewrite can change.
     """
     gains: Counter[str] = Counter()
     for options in sites:
@@ -173,6 +155,17 @@ def candidate_ghosts(sites: list[Site], counts: Counter[str], tau: int) -> dict[
                 if cnt > best.get(win, 0):
                     best[win] = cnt
         gains.update(best)
+    return gains
+
+
+def candidate_ghosts(gains: Counter[str], counts: Counter[str], tau: int) -> dict[str, tuple[int, int]]:
+    """Patterns below tau that some replacement could lift to tau: pattern -> (freq_in, max_freq_out).
+
+    max_freq_out(U) is U's current frequency plus its gain in `gains`, from
+    `exposure_gains`.  `counts` holds the input's count of every pattern
+    `gains` holds that occurs; no other count is read.  Only a pattern some
+    choice gains can reach tau from below, so only those are tested.
+    """
     return {pat: (low, low + gain) for pat, gain in gains.items() if (low := counts.get(pat, 0)) < tau <= low + gain}
 
 
@@ -321,8 +314,9 @@ def mcsr_sanitize(
     if not sites:
         return McsrResult(text=text, choices=(), ghost_cost=0.0, total_weight=0.0, site_windows=(), exposed_counts=Counter())
 
-    counts = _exposed_counts(text, k, sites)
-    cands = candidate_ghosts(sites, counts, cm.tau)
+    gains = exposure_gains(sites)
+    counts = Counter(filter(gains.__contains__, map("".join, _letter_windows(text, k))))
+    cands = candidate_ghosts(gains, counts, cm.tau)
     selection = solve_mck(build_mck(sites, cands, cm))
     choices = tuple(el.choice for el in selection)
     slot = {choice: j for j, (choice, _windows, _weight) in enumerate(sites[0])}  # every site lists the choices in one order

@@ -32,7 +32,7 @@ definition above.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, zip_longest
 
 from .core import (
@@ -55,43 +55,6 @@ class VerifyResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass
-class MetricsReport:
-    """Flat bundle of utility measurements for one pipeline run."""
-
-    pipeline: str
-    lengths: dict[str, int] = field(default_factory=dict)
-    distortion: float | None = None
-    lost: list[str] = field(default_factory=list)
-    ghost: list[str] = field(default_factory=list)
-    edre: float | None = None
-    edit_distance: int | None = None
-    implausible_pct: float | None = None
-    runtimes_ms: dict[str, float] = field(default_factory=dict)
-
-    def to_text(self, alphabet=None) -> str:
-        """Key=value lines; list-valued metrics repeat their key per entry."""
-        dec = (lambda p: alphabet.decode(p)) if alphabet is not None else (lambda p: p)
-        lines = [f"pipeline={self.pipeline}"]
-        for name, value in sorted(self.lengths.items()):
-            lines.append(f"length_{name}={value}")
-        if self.distortion is not None:
-            lines.append(f"distortion={self.distortion:.0f}")  # an exact sum of squared integers
-        lines.append(f"lost_count={len(self.lost)}")
-        lines.extend(f"lost={dec(p)}" for p in sorted(self.lost))
-        lines.append(f"ghost_count={len(self.ghost)}")
-        lines.extend(f"ghost={dec(p)}" for p in sorted(self.ghost))
-        if self.edit_distance is not None:
-            lines.append(f"edit_distance={self.edit_distance}")
-        if self.edre is not None:
-            lines.append(f"edre={self.edre:g}")
-        if self.implausible_pct is not None:
-            lines.append(f"implausible_pct={self.implausible_pct:g}")
-        for name, value in sorted(self.runtimes_ms.items()):
-            lines.append(f"runtime_ms_{name}={value:.3f}")
-        return "\n".join(lines) + "\n"
 
 
 def _leftover_chains(candidate: str, inst: SanitizationInstance) -> tuple[Counter[str], Counter[str]]:

@@ -18,6 +18,7 @@ from seqsan import (
     build_mck,
     candidate_ghosts,
     contains_sensitive,
+    exposure_gains,
     implausible_set,
     kmer_counts,
     mcsr_sanitize,
@@ -57,14 +58,14 @@ class TestContextString:
 
 class TestCandidateGhosts:
     def test_no_separator_no_candidates(self):
-        assert candidate_ghosts(_table("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 2) == {}
+        assert candidate_ghosts(exposure_gains(_table("abcabc", 3, "abc")), kmer_counts("abcabc", 3), 2) == {}
 
     def test_hand_counted_example(self):
-        assert candidate_ghosts(_table("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 4) == {"aa": (2, 4)}
-        assert candidate_ghosts(_table("aa#aa", 2, "a"), kmer_counts("aa#aa", 2), 2) == {}
+        assert candidate_ghosts(exposure_gains(_table("aa#aa", 2, "a")), kmer_counts("aa#aa", 2), 4) == {"aa": (2, 4)}
+        assert candidate_ghosts(exposure_gains(_table("aa#aa", 2, "a")), kmer_counts("aa#aa", 2), 2) == {}
 
     def test_tau_one_absent_but_creatable(self):
-        cands = candidate_ghosts(_table("ab#ba", 2, "ab"), kmer_counts("ab#ba", 2), 1)
+        cands = candidate_ghosts(exposure_gains(_table("ab#ba", 2, "ab")), kmer_counts("ab#ba", 2), 1)
         # every freshly creatable window is a candidate at tau=1
         assert "bb" in cands
         assert "ab" not in cands  # already occurs
@@ -78,7 +79,7 @@ class TestCandidateGhosts:
             y = left + "#" + right
             k = 2
             tau = rng.randint(1, 3)
-            cands = candidate_ghosts(_table(y, k, letters), kmer_counts(y, k), tau)
+            cands = candidate_ghosts(exposure_gains(_table(y, k, letters)), kmer_counts(y, k), tau)
             base = kmer_counts(y, k)
             best = {}
             for ch in list(letters) + [""]:
@@ -148,7 +149,10 @@ class TestCandidateGhostsDefinition:
                 sites = _table(text, k, letters, forbidden)
             except Infeasible:
                 sites = _table(text, k, letters)
-            got = candidate_ghosts(sites, kmer_counts(text, k), tau)
+            gains = exposure_gains(sites)
+            # The gain table's keys are the exposed set: every choice's windows, with or without a weight.
+            assert set(gains) == {w for options in sites for _c, windows, _wt in options for w in windows}, (text, k)
+            got = candidate_ghosts(gains, kmer_counts(text, k), tau)
             assert got == want, (text, k, tau)
             found += bool(want)
             forbidden_found += bool(want) and any(wt is None for opts in sites for _c, _w, wt in opts)
@@ -449,6 +453,7 @@ class TestAgainstTheParentConstruction:
         def estimate(*args):
             raise AssertionError("ghost candidates estimated")
 
+        monkeypatch.setattr(mcsr_mod, "exposure_gains", estimate)
         monkeypatch.setattr(mcsr_mod, "candidate_ghosts", estimate)
         inst = build_instance("abab", 2, patterns=["ba"])
         with pytest.raises(Infeasible) as exc:
@@ -464,7 +469,7 @@ class TestBuildMck:
     def test_forbidden_letters_dropped(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
         sites = separator_sites(PAPER_Y, 4, "abc", cm, example1.sensitive_patterns)
-        cands = candidate_ghosts(sites, kmer_counts(PAPER_Y, 4), 1)
+        cands = candidate_ghosts(exposure_gains(sites), kmer_counts(PAPER_Y, 4), 1)
         inst = build_mck(sites, cands, cm)
         choices = {el.choice for el in inst.classes[0]}
         assert "a" not in choices  # bba + a + aab recreates bbaa
@@ -473,7 +478,7 @@ class TestBuildMck:
 
     def test_zero_cost_when_no_candidates(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
-        empty = candidate_ghosts(_table("abcabc", 3, "abc"), kmer_counts("abcabc", 3), 1)  # no separators: empty
+        empty = candidate_ghosts(exposure_gains(_table("abcabc", 3, "abc")), kmer_counts("abcabc", 3), 1)  # no separators: empty
         inst = build_mck(separator_sites(PAPER_Y, 4, "abc", cm, example1.sensitive_patterns), empty, cm)
         assert all(el.cost == 0 for cls in inst.classes for el in cls)
 

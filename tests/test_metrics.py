@@ -17,7 +17,8 @@ from seqsan import (
     verify,
     verify_levels,
 )
-from seqsan.metrics import MetricsReport, frequency_changes
+from seqsan.cli import MetricsReport
+from seqsan.metrics import frequency_changes
 from conftest import random_instance
 from oracles import _levenshtein
 

@@ -17,7 +17,7 @@ from .core import (
     overlap_chains,
 )
 from .errors import Infeasible, SanitizationError
-from .etfs import MatchResult, SanRegex, approx_regex_match, build_regex, etfs_sanitize
+from .etfs import MatchResult, approx_regex_match, etfs_sanitize
 from .mcsr import (
     CostModel,
     McsrResult,
@@ -69,9 +69,7 @@ __all__ = [
     "MckInstance",
     "McsrResult",
     "etfs_sanitize",
-    "build_regex",
     "approx_regex_match",
-    "SanRegex",
     "MatchResult",
     "ba_sanitize",
     "edit_distance",

@@ -60,7 +60,7 @@ class MetricsReport:
     pipeline: str
     lengths: dict[str, int] = field(default_factory=dict)
     distortion: float | None = None
-    lost: list[str] = field(default_factory=list)
+    lost: list[str] = field(default_factory=list)  # lost and ghost: sorted encoded patterns, written in that order
     ghost: list[str] = field(default_factory=list)
     edre: float | None = None
     edit_distance: int | None = None
@@ -76,9 +76,9 @@ class MetricsReport:
         if self.distortion is not None:
             lines.append(f"distortion={self.distortion:.0f}")  # an exact sum of squared integers
         lines.append(f"lost_count={len(self.lost)}")
-        lines.extend(f"lost={dec(p)}" for p in sorted(self.lost))
+        lines.extend(f"lost={dec(p)}" for p in self.lost)
         lines.append(f"ghost_count={len(self.ghost)}")
-        lines.extend(f"ghost={dec(p)}" for p in sorted(self.ghost))
+        lines.extend(f"ghost={dec(p)}" for p in self.ghost)
         if self.edit_distance is not None:
             lines.append(f"edit_distance={self.edit_distance}")
         if self.edre is not None:

@@ -3,8 +3,9 @@
 Instead of building one canonical output, this setting asks for the string
 closest to the input among all strings that conceal the sensitive patterns
 while preserving non-sensitive window order and frequency.  That family is
-exactly a regular language, read off the source's maximal overlap chains
-(whose '#'-join is the TFS output): the chains' windows must appear in order,
+exactly a regular language, fixed by k and the source's maximal overlap
+chains (`inst.chains`, whose '#'-join is the TFS output and the language's
+shortest member): the chains' windows must appear in order,
 consecutive windows of a chain may either fuse into one letter or be
 separated by filler, successive chains are always separated by filler, and
 filler is any separator-delimited string that never runs k alphabet letters
@@ -43,59 +44,13 @@ ANY = -1  # consuming-edge label: any single alphabet letter
 
 
 @dataclass(frozen=True)
-class SanRegex:
-    """Structured regular expression over the alphabet plus '#'.
-
-    `chains` are the source's maximal overlap chains, in order.  Their windows
-    must appear in that order; each window after a chain's first may fuse
-    onto the window before it by its last letter, or follow it after filler,
-    and each later chain starts after filler.  No chain is the filler-only
-    language: the strings with no k consecutive alphabet letters.
-    """
-
-    k: int
-    letters: str
-    chains: tuple[str, ...]
-
-    def _steps(self):
-        """(window, fused letter) for each window after the first; the letter is None at a chain start."""
-        k = self.k
-        for c, chain in enumerate(self.chains):
-            if c:
-                yield chain[:k], None
-            for i in range(k, len(chain)):
-                yield chain[i - k + 1 : i + 1], chain[i]
-
-    def flattened_length(self) -> int:
-        """Size of the expression with gadgets spelled out letter by letter."""
-        sigma_lt_k = (self.k - 1) * (len(self.letters) + 1)
-        gadget = sigma_lt_k + 2
-        if not self.chains:
-            return sigma_lt_k + gadget
-        # Each window costs the filler gadget before it and its k letters, a window
-        # after a chain's first 3 more (its fused letter and the alternation), and
-        # the closing filler one gadget.
-        windows = sum(len(chain) - self.k + 1 for chain in self.chains)
-        return gadget + windows * (gadget + self.k) + 3 * (windows - len(self.chains))
-
-    def shortest_member(self) -> str:
-        """Fuse every overlap and separate the chains by one '#': the TFS output."""
-        return SEPARATOR.join(self.chains)
-
-
-@dataclass(frozen=True)
 class MatchResult:
     text: str
     distance: int
     trace: tuple[tuple[str, str], ...] | None = None
-    # edit_distance(source, regex.shortest_member()), the starting bound (for
-    # `etfs_sanitize`, the distance to the TFS output); equality ignores it.
+    # The starting bound, edit_distance(source, '#'.join(chains)): the distance
+    # to the TFS output, the language's shortest member.  Equality ignores it.
     shortest_distance: int | None = field(default=None, compare=False)
-
-
-def build_regex(inst: SanitizationInstance) -> SanRegex:
-    """Language of all order- and frequency-preserving sanitized strings."""
-    return SanRegex(inst.k, inst.alphabet.chars, inst.chains)
 
 
 INF = 1 << 60  # above every distance the DP can reach
@@ -119,8 +74,8 @@ class _Matcher:
     traceback re-derives each parent from the stored cells.
     """
 
-    def __init__(self, regex: SanRegex):
-        k, sep = regex.k, ord(SEPARATOR)
+    def __init__(self, k: int, chains: tuple[str, ...]):
+        sep = ord(SEPARATOR)
         # In-edges of each state, made once, in the order the sweep and the
         # traceback try them: cons_in (src, label) in creation order, col_in
         # (src, cost, label) by ascending source, one edge per source.
@@ -151,20 +106,23 @@ class _Matcher:
         # Kept states lo..hi feed the next column only from lo - behind to
         # hi + ahead: `ahead` is the longest forward jump of an edge.
         ahead = 1
-        if not regex.chains:
+        if not chains:
             cur = chain(0, [ANY] * (k - 1))
         else:
             loop(0)  # leading filler loops back to the start
-            cur = chain(0, map(ord, regex.chains[0][:k]))
-            for window, fused in regex._steps():
-                h = chain(cur, [sep])
-                loop(h)
-                nxt = chain(h, map(ord, window))
-                if fused is not None:  # its source is below the chain edge's, nxt - 1
-                    cons_in[nxt].append((cur, ord(fused)))
-                    col_in[nxt].insert(0, (cur, 1, ord(fused)))
-                    ahead = max(ahead, nxt - cur)
-                cur = nxt
+            cur = chain(0, map(ord, chains[0][:k]))
+            # Every later window, the one ending at spelled[i], follows filler;
+            # after a chain's first window it may instead fuse on by spelled[i].
+            for c, spelled in enumerate(chains):
+                for i in range(k - 1 if c else k, len(spelled)):
+                    h = chain(cur, [sep])
+                    loop(h)
+                    nxt = chain(h, map(ord, spelled[i - k + 1 : i + 1]))
+                    if i >= k:  # the fused edge's source is below the chain edge's, nxt - 1
+                        cons_in[nxt].append((cur, ord(spelled[i])))
+                        col_in[nxt].insert(0, (cur, 1, ord(spelled[i])))
+                        ahead = max(ahead, nxt - cur)
+                    cur = nxt
         h = chain(cur, [sep])
         last = loop(h)
         self.accept = len(cons_in)
@@ -280,13 +238,12 @@ class _Matcher:
         return MatchResult(text=witness, distance=distance, trace=tuple(trace))
 
 
-def approx_regex_match(text: str, regex: SanRegex) -> MatchResult:
-    """Closest string in the language of `regex` to `text`, with a witness."""
-    matcher = _Matcher(regex)
-    bound = edit_distance(text, regex.shortest_member())
-    return replace(matcher.match(text, bound), shortest_distance=bound)
+def approx_regex_match(text: str, k: int, chains: tuple[str, ...]) -> MatchResult:
+    """Closest string to `text` in the language of k and the source's chains, with a witness."""
+    bound = edit_distance(text, SEPARATOR.join(chains))
+    return replace(_Matcher(k, chains).match(text, bound), shortest_distance=bound)
 
 
 def etfs_sanitize(inst: SanitizationInstance) -> MatchResult:
     """Minimal-edit-distance sanitized string for the instance."""
-    return approx_regex_match(inst.text, build_regex(inst))
+    return approx_regex_match(inst.text, inst.k, inst.chains)

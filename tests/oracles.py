@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from seqsan.core import SEPARATOR, SanitizationInstance
 from seqsan.errors import Infeasible, SanitizationError
-from seqsan.etfs import ANY, SanRegex
+from seqsan.etfs import ANY
 from seqsan.mcsr import MckElement, MckInstance
 
 
@@ -247,21 +247,20 @@ def z_score(text: str, pattern: str) -> float:
     return (freq(pattern) - expected) / max(math.sqrt(expected), 1.0)
 
 
-def to_pattern(regex: SanRegex) -> str:
-    """An `re` pattern for the language of `regex`, spelled from its chains, for membership checks.
+def to_pattern(k: int, letters: str, chains: tuple[str, ...]) -> str:
+    """An `re` pattern for the ETFS language of k and the chains over `letters`, for membership checks.
 
     Filler is any '#'-delimited string without k letters in a row.  Each
     chain's first window follows filler that ends in '#' (the first chain's
     may start the string); every later window either fuses on by its last
     letter or follows such filler.
     """
-    k = regex.k
-    run = f"(?:[{re.escape(regex.letters)}]?){{{k - 1}}}" if k > 1 else ""
-    if not regex.chains:
+    run = f"(?:[{re.escape(letters)}]?){{{k - 1}}}" if k > 1 else ""
+    if not chains:
         return f"{run}(?:#{run})*"
     plus = f"#(?:{run}#)*"
     parts = [f"(?:{run}#)*"]
-    for c, chain in enumerate(regex.chains):
+    for c, chain in enumerate(chains):
         parts.append((plus if c else "") + re.escape(chain[:k]))
         for i in range(k, len(chain)):
             parts.append(f"(?:{re.escape(chain[i])}|{plus}{re.escape(chain[i - k + 1 : i + 1])})")
@@ -269,9 +268,9 @@ def to_pattern(regex: SanRegex) -> str:
     return "".join(parts)
 
 
-def matches(regex: SanRegex, text: str) -> bool:
-    """Whether `text` is in the language of `regex`, by `re`."""
-    return re.fullmatch(to_pattern(regex), text) is not None
+def matches(k: int, letters: str, chains: tuple[str, ...], text: str) -> bool:
+    """Whether `text` is in the ETFS language of k and the chains over `letters`, by `re`."""
+    return re.fullmatch(to_pattern(k, letters, chains), text) is not None
 
 
 class EdgeListAutomaton:
@@ -283,8 +282,8 @@ class EdgeListAutomaton:
     made; `accept` is the last.
     """
 
-    def __init__(self, regex: SanRegex):
-        k, sep = regex.k, ord(SEPARATOR)
+    def __init__(self, k: int, chains: tuple[str, ...]):
+        sep = ord(SEPARATOR)
         self.n_states = 1
         self.cons: list[tuple[int, int, int]] = []
         self.eps: list[tuple[int, int]] = []
@@ -305,12 +304,12 @@ class EdgeListAutomaton:
             self.cons.append((last, head, sep))
             return last
 
-        if not regex.chains:
+        if not chains:
             cur = chain(0, [ANY] * (k - 1))
         else:
             loop(0)
             cur = None
-            for chain_text in regex.chains:
+            for chain_text in chains:
                 # A chain starts after filler that ends in '#', the first one at the start.
                 if cur is None:
                     cur = chain(0, map(ord, chain_text[:k]))

@@ -5,10 +5,8 @@ import random
 import pytest
 
 from seqsan import (
-    SanRegex,
     approx_regex_match,
     build_instance,
-    build_regex,
     edit_distance,
     etfs_sanitize,
     tfs_sanitize,
@@ -21,48 +19,46 @@ from oracles import EdgeListAutomaton, matches, nonsensitive_starts
 
 class TestBuildRegex:
     def test_example_structure(self, example_merge_chain):
-        regex = build_regex(example_merge_chain)
-        assert regex.chains == ("aaabaccb", "cbbb")
-        # With a filler gadget of (k-1)(sigma+1) + 2 = 14: leading filler, the first
-        # window and closing filler 14 + 4 + 14; four fusable windows at 14 + 4 + 3
-        # each; filler and the second chain's window 14 + 4.
-        assert regex.flattened_length() == 134
+        assert example_merge_chain.chains == ("aaabaccb", "cbbb")
+        # k = 4 and W = 5 + 1 chain windows.  The start state, the leading filler
+        # loop (k - 1) and the first window (k) take 2k states; each later window
+        # 2k (its '#', its filler loop and its letters); the closing '#' and
+        # filler k; the accept state 1: 2kW + k + 1.
+        assert len(_Matcher(4, example_merge_chain.chains).cons_in) == 2 * 4 * 6 + 4 + 1
 
     def test_single_window(self):
         inst = build_instance("aab", 2, patterns=["ab"])
-        regex = build_regex(inst)
-        assert regex.chains == ("aa",)
+        assert inst.chains == ("aa",)
 
     def test_all_sensitive_is_the_filler_language(self, example_all_sensitive):
         # No chain: exactly the strings over a, b and '#' with no 4 letters in a row.
-        regex = build_regex(example_all_sensitive)
-        assert regex.chains == ()
-        assert regex.flattened_length() == 9 + 11  # k-1 optional letters, then a gadget
+        assert example_all_sensitive.chains == ()
+        assert len(_Matcher(4, ()).cons_in) == 2 * 4 + 1  # start, k-1 optional letters, '#', its loop's k-1, accept
         for n in range(9):
             for s in map("".join, itertools.product("ab#", repeat=n)):
-                assert matches(regex, s) == all(len(run) < 4 for run in s.split("#")), s
+                assert matches(4, "ab", (), s) == all(len(run) < 4 for run in s.split("#")), s
 
     def test_membership_of_known_strings(self, example_merge_chain):
-        regex = build_regex(example_merge_chain)
-        assert matches(regex, "aaab#aabaccb#cbbb")
-        assert matches(regex, "aaabaccb#cbbb")
-        assert not matches(regex, "aaabaccbcbbb")  # gap junction cannot fuse
-        assert not matches(regex, example_merge_chain.text)
+        lang = (example_merge_chain.k, example_merge_chain.alphabet.chars, example_merge_chain.chains)
+        assert matches(*lang, "aaab#aabaccb#cbbb")
+        assert matches(*lang, "aaabaccb#cbbb")
+        assert not matches(*lang, "aaabaccbcbbb")  # gap junction cannot fuse
+        assert not matches(*lang, example_merge_chain.text)
 
     def test_shortest_member_is_the_tfs_output(self):
         rng = random.Random(17)
         for _ in range(200):
             inst = random_instance(rng, n_min=4, n_max=40)
-            regex = build_regex(inst)
-            assert regex.shortest_member() == tfs_sanitize(inst)
-            assert matches(regex, regex.shortest_member())
+            x = tfs_sanitize(inst)
+            assert matches(inst.k, inst.alphabet.chars, inst.chains, x)
+            assert _Matcher(inst.k, inst.chains).minrem[0] == len(x)  # no member is shorter
 
     def test_fallback_language(self):
         inst = build_instance("aaaaaab", 4, patterns=["aaaa", "aaab"])
-        regex = build_regex(inst)
-        assert matches(regex, "aaa#aab")
-        assert matches(regex, "")
-        assert not matches(regex, "aaaa")  # four straight letters form a window
+        lang = (inst.k, inst.alphabet.chars, inst.chains)
+        assert matches(*lang, "aaa#aab")
+        assert matches(*lang, "")
+        assert not matches(*lang, "aaaa")  # four straight letters form a window
 
 
 class TestGadgetLanguage:
@@ -71,7 +67,6 @@ class TestGadgetLanguage:
         rng = random.Random(18)
         k = 4
         letters = "abc"
-        regex = SanRegex(k, letters, ())
         for _ in range(200):
             # sample from the filler shape: # (up to k-1 letters #)*
             parts = ["#"]
@@ -79,24 +74,23 @@ class TestGadgetLanguage:
                 run = "".join(rng.choice(letters) for _ in range(rng.randint(0, k - 1)))
                 parts.append(run + "#")
             s = "".join(parts)
-            assert matches(regex, s), s
+            assert matches(k, letters, (), s), s
             cut = rng.randint(0, len(s))
             spliced = s[:cut] + "".join(rng.choice(letters) for _ in range(k)) + s[cut:]
-            assert not matches(regex, spliced), spliced
+            assert not matches(k, letters, (), spliced), spliced
 
 
 class TestApproxRegexMatch:
     def test_example_distance_and_witness(self, example_merge_chain):
-        regex = build_regex(example_merge_chain)
-        res = approx_regex_match(example_merge_chain.text, regex)
+        inst = example_merge_chain
+        res = approx_regex_match(inst.text, inst.k, inst.chains)
         assert res.distance == 4
-        assert matches(regex, res.text)
-        assert edit_distance(example_merge_chain.text, res.text) == 4
+        assert matches(inst.k, inst.alphabet.chars, inst.chains, res.text)
+        assert edit_distance(inst.text, res.text) == 4
 
     def test_zero_distance_when_source_matches(self):
         inst = build_instance("abcabc", 3)
-        regex = build_regex(inst)
-        res = approx_regex_match(inst.text, regex)
+        res = approx_regex_match(inst.text, inst.k, inst.chains)
         assert res.distance == 0
         assert res.text == inst.text
 
@@ -114,9 +108,8 @@ class TestApproxRegexMatch:
         rng = random.Random(22)
         for _ in range(40):
             inst = random_instance(rng, n_min=4, n_max=30)
-            regex = build_regex(inst)
-            auto = EdgeListAutomaton(regex)
-            matcher = _Matcher(regex)
+            auto = EdgeListAutomaton(inst.k, inst.chains)
+            matcher = _Matcher(inst.k, inst.chains)
             prev, cur = [INF] * auto.n_states, [INF] * auto.n_states
             cur[0] = 0
             for j, oc in enumerate([ANY] + [ord(ch) for ch in inst.text]):  # column 0 reads no letter
@@ -134,15 +127,15 @@ class TestApproxRegexMatch:
         rng = random.Random(26)
         for case in range(3000):
             inst = random_instance(rng, n_min=2, n_max=40, ks=(1, 2, 3, 4, 5))
-            regex = SanRegex(inst.k, inst.alphabet.chars, ()) if case % 5 == 0 else build_regex(inst)
-            auto = EdgeListAutomaton(regex)
+            chains = () if case % 5 == 0 else inst.chains
+            auto = EdgeListAutomaton(inst.k, chains)
             want = [[] for _ in range(auto.n_states)]
             in_edges = [(src, 0, dst, -1, ANY) for src, dst in auto.eps]
             in_edges += [(src, 1, dst, e, lab) for e, (src, dst, lab) in enumerate(auto.cons)]
             for src, w, dst, _e, lab in sorted(in_edges):
                 if src < dst and all(s != src for s, _w, _lab in want[dst]):
                     want[dst].append((src, w, lab))
-            matcher = _Matcher(regex)
+            matcher = _Matcher(inst.k, chains)
             assert matcher.col_in == want, (inst.text, inst.k)
             cons_in = [[] for _ in range(auto.n_states)]
             for src, dst, lab in auto.cons:
@@ -158,8 +151,7 @@ class TestApproxRegexMatch:
         positive = 0
         for _ in range(60):
             inst = random_instance(rng, n_min=4, n_max=50)
-            regex = build_regex(inst)
-            matcher = _Matcher(regex)
+            matcher = _Matcher(inst.k, inst.chains)
             unbounded = matcher.match(inst.text, INF)
             assert etfs_sanitize(inst) == unbounded
             d = unbounded.distance
@@ -176,11 +168,11 @@ class TestLowerBound:
         rng = random.Random(24)
         for case in range(300):
             inst = random_instance(rng, n_min=2, n_max=40, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6))
-            regex = SanRegex(inst.k, inst.alphabet.chars, ()) if case % 5 == 0 else build_regex(inst)
-            auto = EdgeListAutomaton(regex)
-            minrem = _Matcher(regex).minrem
+            chains = () if case % 5 == 0 else inst.chains
+            auto = EdgeListAutomaton(inst.k, chains)
+            minrem = _Matcher(inst.k, chains).minrem
             assert minrem[auto.accept] == 0
-            assert minrem[0] == len(regex.shortest_member())
+            assert minrem[0] == len("#".join(chains))  # the shortest member
             # Consistent: no edge lowers it by more than the letters the edge emits.
             assert all(minrem[src] <= minrem[dst] + 1 for src, dst, _lab in auto.cons)
             assert all(minrem[src] <= minrem[dst] for src, dst in auto.eps)
@@ -199,8 +191,7 @@ class TestLowerBound:
         for _ in range(300):
             rate = rng.choice((0.05, 0.35, 0.7))
             inst = random_instance(rng, 2, 30, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6), sensitive_rate=rate)
-            regex = build_regex(inst)
-            matcher = _Matcher(regex)
+            matcher = _Matcher(inst.k, inst.chains)
             reference = matcher.match(inst.text, INF)
             column, bounds = matcher._column, []
 
@@ -227,8 +218,7 @@ class TestLowerBound:
             else:  # one instance of 120-160 letters, at random_instance's default rate
                 rate = 0.35
                 inst = random_instance(random.Random(20), n_min=120, n_max=160, sigmas=(3,), ks=(4,))
-            regex = build_regex(inst)
-            reference = _Matcher(regex).match(inst.text, INF)
+            reference = _Matcher(inst.k, inst.chains).match(inst.text, INF)
             assert etfs_sanitize(inst) == reference, (inst.text, inst.k, inst.sensitive_patterns)
             seen["k=1"] += inst.k == 1
             seen["dense"] += rate >= 0.6
@@ -296,12 +286,13 @@ class TestEtfsSanitize:
 
 
 class TestComplexityEnvelope:
-    def test_state_count_within_flattened_size(self):
+    def test_state_count_is_exact(self):
+        # 2kW + k + 1 states for W >= 1 chain windows (see test_example_structure), 2k + 1 with no chain.
         rng = random.Random(21)
         for _ in range(20):
             inst = random_instance(rng, n_min=10, n_max=80)
-            regex = build_regex(inst)
-            n_states = len(_Matcher(regex).cons_in)
-            assert n_states <= regex.flattened_length()
+            n_states = len(_Matcher(inst.k, inst.chains).cons_in)
+            windows = sum(len(chain) - inst.k + 1 for chain in inst.chains)
+            assert n_states == (2 * inst.k * windows + inst.k + 1 if windows else 2 * inst.k + 1)
             n_anchors = len(nonsensitive_starts(inst))
             assert n_states <= (2 * inst.k + 4) * max(1, n_anchors) + 2 * inst.k + 4

@@ -1,10 +1,12 @@
-"""The runtime imports nothing outside the standard library, and importing the command line loads the package's eight modules and no other."""
+"""The runtime imports nothing outside the standard library, importing the command line loads the package's eight modules and no other, and every exported name exists once."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import seqsan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "seqsan").glob("*.py"))
@@ -34,3 +36,9 @@ def test_cli_loads_only_the_package_modules_it_runs():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
     stages = ["cli", "core", "errors", "etfs", "mcsr", "metrics", "pfs", "tfs"]
     assert loaded == ["seqsan"] + [f"seqsan.{name}" for name in stages]
+
+
+def test_every_exported_name_exists_once():
+    missing = [name for name in seqsan.__all__ if not hasattr(seqsan, name)]
+    assert not missing, f"seqsan.__all__ names {missing}, which the package does not define"
+    assert len(set(seqsan.__all__)) == len(seqsan.__all__), sorted(n for n in set(seqsan.__all__) if seqsan.__all__.count(n) > 1)

@@ -16,14 +16,12 @@ from .core import (
     kmer_counts,
     overlap_chains,
 )
-from .errors import Infeasible, SanitizationError
 from .etfs import MatchResult, approx_regex_match, etfs_sanitize
 from .mcsr import (
     CostModel,
+    Infeasible,
     McsrResult,
     MckElement,
-    MckInstance,
-    build_mck,
     candidate_ghosts,
     exposure_gains,
     implausible_set,
@@ -60,13 +58,11 @@ __all__ = [
     "separator_sites",
     "exposure_gains",
     "candidate_ghosts",
-    "build_mck",
     "solve_mck",
     "implausible_set",
     "CostModel",
     "uniform_cost_model",
     "MckElement",
-    "MckInstance",
     "McsrResult",
     "etfs_sanitize",
     "approx_regex_match",
@@ -77,6 +73,5 @@ __all__ = [
     "verify",
     "verify_levels",
     "VerifyResult",
-    "SanitizationError",
     "Infeasible",
 ]

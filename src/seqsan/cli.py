@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 
 from . import metrics as mt
 from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance, kmer_counts
-from .errors import Infeasible, SanitizationError
 from .etfs import etfs_sanitize
-from .mcsr import CostModel, implausible_set, mcsr_sanitize, uniform_cost_model
+from .mcsr import CostModel, Infeasible, implausible_set, mcsr_sanitize, uniform_cost_model
 from .pfs import pfs_sanitize
 from .tfs import tfs_sanitize
 
@@ -49,7 +48,7 @@ PIPELINES = ("tpm", "tm", "tmi", "etfs", "ba", "tfs", "pfs")
 _MCSR_PIPELINES = ("tpm", "tm", "tmi")  # the pipelines that end in separator replacement
 
 
-class InputError(SanitizationError):
+class InputError(ValueError):
     """A malformed command line, or a file that failed to parse; the message names the flag or line/column."""
 
 
@@ -67,18 +66,17 @@ class MetricsReport:
     implausible_pct: float | None = None
     runtimes_ms: dict[str, float] = field(default_factory=dict)
 
-    def to_text(self, alphabet=None) -> str:
+    def to_text(self, alphabet: Alphabet) -> str:
         """Key=value lines; list-valued metrics repeat their key per entry."""
-        dec = (lambda p: alphabet.decode(p)) if alphabet is not None else (lambda p: p)
         lines = [f"pipeline={self.pipeline}"]
         for name, value in sorted(self.lengths.items()):
             lines.append(f"length_{name}={value}")
         if self.distortion is not None:
             lines.append(f"distortion={self.distortion:.0f}")  # an exact sum of squared integers
         lines.append(f"lost_count={len(self.lost)}")
-        lines.extend(f"lost={dec(p)}" for p in self.lost)
+        lines.extend(f"lost={alphabet.decode(p)}" for p in self.lost)
         lines.append(f"ghost_count={len(self.ghost)}")
-        lines.extend(f"ghost={dec(p)}" for p in self.ghost)
+        lines.extend(f"ghost={alphabet.decode(p)}" for p in self.ghost)
         if self.edit_distance is not None:
             lines.append(f"edit_distance={self.edit_distance}")
         if self.edre is not None:
@@ -427,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SanitizationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

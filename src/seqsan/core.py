@@ -109,16 +109,15 @@ class Alphabet:
         except KeyError as exc:
             raise ValueError(f"token {exc.args[0]!r} is not in the alphabet") from None
 
-    def decode_tokens(self, encoded: str) -> list[str]:
-        """One token per internal char; '#' and any char outside the alphabet stay as they are, as in char mode."""
-        dec = self._decode_map
-        return [dec.get(c, c) for c in encoded]
-
     def decode(self, encoded: str) -> str:
-        """Render an internal string for output: char mode verbatim, token mode space-joined."""
+        """Render an internal string for output: char mode verbatim, token mode one token per char, space-joined.
+
+        '#' and any char outside the alphabet stay as they are, as in char mode.
+        """
         if not self.token_mode:
             return encoded
-        return " ".join(self.decode_tokens(encoded))
+        dec = self._decode_map
+        return " ".join([dec.get(c, c) for c in encoded])
 
 
 @dataclass(frozen=True)

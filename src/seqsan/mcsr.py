@@ -39,11 +39,14 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Mapping, NamedTuple
 
 from .core import SEPARATOR, SanitizationInstance, _letter_windows, kmer_counts
-from .errors import Infeasible
 
 EPSILON = ""  # deletion pseudo-letter
 _NO_CHOICE = "no admissible choice for separator {}; Z cannot be constructed"
 MAX_TABLE_CELLS = 4_000_000  # knapsack table cells; 400 classes of 11 choices at theta 9,999 took 2.4 s and 51 MB (Python 3.11.7, 2-vCPU Xeon VM)
+
+
+class Infeasible(Exception):
+    """No separator replacement satisfies the safety and capacity constraints."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,6 @@ class MckElement(NamedTuple):
     choice: str  # alphabet letter, or "" for deletion
     cost: float
     weight: float
-
-
-@dataclass(frozen=True)
-class MckInstance:
-    classes: tuple[tuple[MckElement, ...], ...]
-    capacity: float
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,7 @@ def candidate_ghosts(gains: Counter[str], counts: Counter[str], tau: int) -> dic
     return {pat: (low, low + gain) for pat, gain in gains.items() if (low := counts.get(pat, 0)) < tau <= low + gain}
 
 
-def build_mck(sites: list[Site], cands: dict[str, tuple[int, int]], cm: CostModel) -> MckInstance:
+def _price(sites: list[Site], cands: dict[str, tuple[int, int]], cm: CostModel) -> tuple[tuple[MckElement, ...], ...]:
     """One knapsack class per separator of `sites`; its elements are the choices with a weight.
 
     A choice costs `cm.ghost` times the number of its windows in `cands`,
@@ -177,14 +174,13 @@ def build_mck(sites: list[Site], cands: dict[str, tuple[int, int]], cm: CostMode
     every Python.
     """
     is_cand = cands.__contains__
-    classes = tuple(
+    return tuple(
         tuple(MckElement(c, cm.ghost * sum(map(is_cand, windows)), weight) for c, windows, weight in options if weight is not None)
         for options in sites
     )
-    return MckInstance(classes=classes, capacity=cm.theta)
 
 
-def solve_mck(inst: MckInstance) -> list[MckElement]:
+def solve_mck(classes: tuple[tuple[MckElement, ...], ...], capacity: float) -> list[MckElement]:
     """Minimum-cost selection of one element per class within the capacity.
 
     Weights must be non-negative integers.  When the capacity cannot bind
@@ -195,33 +191,33 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
     rotate the preferred letter with the class index (deletion last), so
     tied choices spread instead of piling occurrences onto one pattern.
     """
-    for cls in inst.classes:
+    for cls in classes:
         for el in cls:
             if not float(el.weight).is_integer() or el.weight < 0:
                 raise ValueError(f"weights must be non-negative integers, got {el.weight}")
-    if inst.capacity < 0:
+    if capacity < 0:
         raise Infeasible("negative capacity")
 
     def preference(cls_idx: int, size: int):
         def key(pair: tuple[int, MckElement]) -> tuple:
             j, el = pair
-            return (el.cost, el.choice == EPSILON, (j - cls_idx) % size, el.choice)
+            return (el.cost, el.choice == EPSILON, (j - cls_idx) % size)
 
         return key
 
-    if sum(max(int(el.weight) for el in cls) for cls in inst.classes) <= inst.capacity:
+    if sum(max(int(el.weight) for el in cls) for cls in classes) <= capacity:
         return [
-            min(enumerate(cls), key=preference(i, len(cls)))[1] for i, cls in enumerate(inst.classes)
+            min(enumerate(cls), key=preference(i, len(cls)))[1] for i, cls in enumerate(classes)
         ]
 
-    theta = int(math.floor(inst.capacity))
-    if len(inst.classes) * (theta + 1) > MAX_TABLE_CELLS:
-        raise ValueError(f"{len(inst.classes)} knapsack classes at theta {theta} exceed {MAX_TABLE_CELLS} table cells")
+    theta = int(math.floor(capacity))
+    if len(classes) * (theta + 1) > MAX_TABLE_CELLS:
+        raise ValueError(f"{len(classes)} knapsack classes at theta {theta} exceed {MAX_TABLE_CELLS} table cells")
     INF = float("inf")
     dp = [INF] * (theta + 1)
     dp[0] = 0.0
     parents: list[list[int]] = []  # per class and residual weight, the index of the element that reached it
-    for cls_idx, cls in enumerate(inst.classes):
+    for cls_idx, cls in enumerate(classes):
         ordered = [(j, int(el.weight), el.cost) for j, el in sorted(enumerate(cls), key=preference(cls_idx, len(cls)))]
         nxt = [INF] * (theta + 1)
         par = [-1] * (theta + 1)
@@ -243,7 +239,7 @@ def solve_mck(inst: MckInstance) -> list[MckElement]:
         raise Infeasible("no selection satisfies the capacity; Z cannot be constructed")
     chosen_rev: list[MckElement] = []
     w = best_w
-    for cls, par in zip(reversed(inst.classes), reversed(parents)):
+    for cls, par in zip(reversed(classes), reversed(parents)):
         el = cls[par[w]]
         chosen_rev.append(el)
         w -= int(el.weight)
@@ -287,7 +283,7 @@ def implausible_set(inst: SanitizationInstance, rho: float) -> frozenset[str]:
 def mcsr_sanitize(
     text: str,
     inst: SanitizationInstance,
-    cm: CostModel | None = None,
+    cm: CostModel,
     implausible: frozenset[str] | None = None,
 ) -> McsrResult:
     """Rewrite every separator of `text` into an alphabet letter or a deletion.
@@ -305,8 +301,6 @@ def mcsr_sanitize(
     for j, block in enumerate(parts[1:-1], start=1):
         if len(block) < k - 1:
             raise ValueError(f"block {j} {block!r} lies between separators and has fewer than k-1 = {k - 1} letters")
-    if cm is None:
-        cm = uniform_cost_model(tau=1)
     if cm.theta is None:
         cm = dc_replace(cm, theta=float(len(parts) - 1))
     forbidden = inst.sensitive_patterns if implausible is None else inst.sensitive_patterns | implausible
@@ -317,7 +311,7 @@ def mcsr_sanitize(
     gains = exposure_gains(sites)
     counts = Counter(filter(gains.__contains__, map("".join, _letter_windows(text, k))))
     cands = candidate_ghosts(gains, counts, cm.tau)
-    selection = solve_mck(build_mck(sites, cands, cm))
+    selection = solve_mck(_price(sites, cands, cm), cm.theta)
     choices = tuple(el.choice for el in selection)
     slot = {choice: j for j, (choice, _windows, _weight) in enumerate(sites[0])}  # every site lists the choices in one order
     picked = [options[slot[choice]][1] for options, choice in zip(sites, choices)]

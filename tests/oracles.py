@@ -15,12 +15,11 @@ import re
 from dataclasses import dataclass
 
 from seqsan.core import SEPARATOR, SanitizationInstance
-from seqsan.errors import Infeasible, SanitizationError
 from seqsan.etfs import ANY
-from seqsan.mcsr import MckElement, MckInstance
+from seqsan.mcsr import Infeasible, MckElement
 
 
-class BudgetExceeded(SanitizationError):
+class BudgetExceeded(Exception):
     """A brute-force oracle was asked to search beyond its configured budget."""
 
 
@@ -163,17 +162,19 @@ def _levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def oracle_mck(inst: MckInstance, budget: OracleBudget = OracleBudget()) -> tuple[float, list[MckElement]]:
+def oracle_mck(
+    classes: tuple[tuple[MckElement, ...], ...], capacity: float, budget: OracleBudget = OracleBudget()
+) -> tuple[float, list[MckElement]]:
     """Exhaustive product enumeration of one-element-per-class selections."""
     combos = 1
-    for cls in inst.classes:
+    for cls in classes:
         combos *= len(cls)
         if combos > budget.max_candidates:
             raise BudgetExceeded(f"{combos}+ selections exceed oracle budget {budget.max_candidates}")
     best: tuple[float, list[MckElement]] | None = None
-    for pick in itertools.product(*inst.classes):
+    for pick in itertools.product(*classes):
         weight = sum(el.weight for el in pick)
-        if weight > inst.capacity:
+        if weight > capacity:
             continue
         cost = sum(el.cost for el in pick)
         if best is None or cost < best[0]:

@@ -14,7 +14,6 @@ import pytest
 from seqsan import (
     Infeasible,
     MckElement,
-    MckInstance,
     build_instance,
     ba_sanitize,
     contains_sensitive,
@@ -128,14 +127,13 @@ def test_criterion_3_oracle_equivalence():
             tuple(MckElement(chr(97 + j), rng.randint(0, 9), rng.randint(0, 4)) for j in range(sigma))
             for _ in range(delta)
         )
-        inst_mck = MckInstance(classes=classes, capacity=theta)
         try:
-            got = solve_mck(inst_mck)
+            got = solve_mck(classes, theta)
         except Infeasible:
             with pytest.raises(Infeasible):
-                oracle_mck(inst_mck)
+                oracle_mck(classes, theta)
             continue
-        best_cost, _ = oracle_mck(inst_mck)
+        best_cost, _ = oracle_mck(classes, theta)
         assert sum(el.cost for el in got) == best_cost
 
     for _ in range(100):

@@ -6,7 +6,18 @@ from collections import Counter
 
 import pytest
 
-from seqsan import Infeasible, cli, core, implausible_set, kmer_counts, mcsr_sanitize, metrics, pfs_sanitize, tfs_sanitize
+from seqsan import (
+    Infeasible,
+    cli,
+    core,
+    implausible_set,
+    kmer_counts,
+    mcsr_sanitize,
+    metrics,
+    pfs_sanitize,
+    tfs_sanitize,
+    uniform_cost_model,
+)
 from seqsan.metrics import frequency_changes
 from seqsan.cli import EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK, main
 from conftest import random_instance
@@ -90,7 +101,7 @@ def test_implausible_pct_counts_the_implausible_site_windows(tmp_path, seed):
     w = write(tmp_path / "w.txt", inst.text + "\n")
     p = write(tmp_path / "p.txt", "".join(pat + "\n" for pat in sorted(inst.sensitive_patterns)))
     # Counted directly: the share of MCSR's realized site windows that are implausible.
-    site_windows = mcsr_sanitize(tfs_sanitize(inst), inst).site_windows
+    site_windows = mcsr_sanitize(tfs_sanitize(inst), inst, uniform_cost_model(tau=1)).site_windows
     implausible = implausible_set(inst, -0.5)
     bad = sum(win in implausible for _i, win in site_windows)
     assert bad > 0
@@ -601,3 +612,105 @@ def test_run_pipeline_leaves_the_shared_counts_alone(example1, pipeline):
     order = list(example1.counts)
     cli.run_pipeline(args, example1)
     assert dict(example1.counts) == before and list(example1.counts) == order
+
+
+_FUZZ_COST_MODELS = (
+    '{"sub": {"a": 2, "epsilon": 0}, "sub_default": 1}',
+    '{"ghost_default": 0.5, "sub_default": 1}',
+    '{"sub": {"b": 0}, "sub_default": 3}',
+)
+_FUZZ_BAD_COST_MODELS = ("{", "[1]", '{"sub": {"q": 1}}', '{"ghost_default": -1}', '{"sub_default": 0.5}',
+                         '{"sub": {"": 0, "epsilon": 1}}')
+_FUZZ_BAD_VALUES = {
+    "--k": ("0", "-1", "x", "2.5", "99"),
+    "--tau": ("0", "-2", "y"),
+    "--theta": ("-1", "x", "1.5"),
+    "--rho": ("0.5", "0", "x"),
+    "--pipeline": ("nope",),
+    "--level": ("P9", "C1,P0"),
+}
+
+
+def _fuzz_argv(rng: random.Random, tmp_path, run: int) -> list[str]:
+    """One random command line over small random files; at most one flag, file or candidate is malformed."""
+
+    def file(name: str, content: str) -> str:
+        return write(tmp_path / f"{run}-{name}", content)
+
+    fault = rng.choice((None,) * 10 + (*_FUZZ_BAD_VALUES, "text", "pattern", "cost", "candidate"))
+    mode = "token" if rng.random() < 0.25 else "char"
+    k = rng.randint(1, 5)
+    seq = [rng.choice(("a", "b", "c")[: rng.randint(1, 3)]) for _ in range(rng.randint(k + 1, 24))]
+    sep = " " if mode == "token" else ""
+    text = sep.join(seq)
+    if fault == "text":  # a separator, whitespace in char mode, or nothing
+        at = rng.randint(0, len(text))
+        text = rng.choice((text[:at] + sep + "#" + sep + text[at:], text[:at] + "\t" + text[at:], ""))
+    positions = rng.random() < 0.2
+    if positions:
+        lines = [str(rng.randint(0, len(seq) - k)) for _ in range(rng.randint(0, 3))]
+        if fault == "pattern":
+            lines.append(rng.choice(("x", "-1", str(len(seq)))))
+    else:
+        windows = sorted({tuple(seq[i : i + k]) for i in range(len(seq) - k + 1)})
+        rate = rng.choice((0.1, 0.4, 0.8))  # dense patterns leave separators with few admissible choices
+        lines = [sep.join(win) for win in windows if rng.random() < rate]
+        if fault == "pattern":
+            lines.append(sep.join("a" * (k + 1)))
+        elif rng.random() < 0.1:  # a letter absent from the sequence: a warning, not an error
+            lines.append(sep.join("q" * k))
+    flags = ["--k", str(k), "--in", file("w.txt", text + "\n"), "--patterns", file("p.txt", "".join(ln + "\n" for ln in lines))]
+    flags += ["--mode", mode] + (["--positions"] if positions else [])
+    if rng.random() < 0.25:
+        cand = sep.join(seq)
+        if rng.random() < 0.7:  # mangled: a letter dropped, a separator added, or a foreign letter
+            at = rng.randint(0, len(cand))
+            cand = rng.choice((cand[:at] + cand[at + 1 :], cand[:at] + sep + "#" + sep + cand[at:], cand[:at] + "q" + cand[at:]))
+        if fault == "candidate":  # a second line in char mode, a foreign token in token mode
+            cand += "\n" + cand + "q"
+        flags += ["--candidate", file("cand.txt", cand + "\n"), "--level", rng.choice(("all", "C1", "P1,Pi1", "P2,P3,P4"))]
+        cmd = "verify"
+    else:
+        pipeline = rng.choice(("tpm", "tpm", "tm", "tm", "tmi", "etfs", "ba", "tfs", "pfs"))
+        flags += ["--pipeline", pipeline, "--tau", rng.choice(("1", "1", "2", "3"))]
+        if rng.random() < 0.6:
+            # Unit weights at theta 0 admit no choice; at a theta below the separator count they bind the knapsack.
+            flags += ["--theta", rng.choice(("0", "0", "1", "1", "2", "auto"))]
+        if pipeline == "tmi" or (k > 2 and rng.random() < 0.2):
+            flags += ["--rho", rng.choice(("-1", "-0.5"))]
+        if fault == "cost":
+            absent = str(tmp_path / f"{run}-absent.json")
+            flags += ["--cost-model", rng.choice((file("cost.json", rng.choice(_FUZZ_BAD_COST_MODELS)), absent))]
+        elif rng.random() < 0.3:
+            flags += ["--cost-model", file("cost.json", rng.choice(_FUZZ_COST_MODELS))]
+        if rng.random() < 0.3:
+            flags += ["--report", str(tmp_path / f"{run}-report.txt")]
+        flags += ["--out", str(tmp_path / f"{run}-out.txt")]
+        cmd = "sanitize"
+    if fault in _FUZZ_BAD_VALUES:
+        # A repeated flag's last value counts; a flag of the other command is an unrecognized argument.
+        flags += [fault, rng.choice(_FUZZ_BAD_VALUES[fault])]
+    return [cmd, *flags]
+
+
+def test_seeded_fuzz_of_main_exits_with_a_code_and_a_message(tmp_path, capsys):
+    # Random small inputs and flags, many malformed: main returns one of its four codes, raises nothing,
+    # and on exit 2 or 3 its last line on stderr says which.
+    rng = random.Random(30)
+    seen = Counter()
+    for run in range(800):
+        argv = _fuzz_argv(rng, tmp_path, run)
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure under test
+            pytest.fail(f"{argv}: uncaught {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, cli.EXIT_VERIFY_FAILED, EXIT_INFEASIBLE, EXIT_INPUT_ERROR), argv
+        assert "Traceback" not in err, argv
+        last = err.strip().splitlines()[-1] if err.strip() else ""
+        if code == EXIT_INPUT_ERROR:
+            assert last.startswith("error: "), (argv, err)
+        elif code == EXIT_INFEASIBLE:
+            assert last.startswith("infeasible: "), (argv, err)
+        seen[code] += 1
+    assert all(seen[code] >= 20 for code in range(4)), seen

@@ -13,9 +13,7 @@ from seqsan import (
     CostModel,
     Infeasible,
     MckElement,
-    MckInstance,
     build_instance,
-    build_mck,
     candidate_ghosts,
     contains_sensitive,
     exposure_gains,
@@ -254,11 +252,11 @@ class TestGhostPricing:
                         seen["a candidate twice"] += len(created) > len(set(created))
                 want.append(tuple(elements))
             try:
-                got = build_mck(separator_sites(text, k, letters, cm, sensitive), cands, cm)
+                got = mcsr_mod._price(separator_sites(text, k, letters, cm, sensitive), cands, cm)
             except Infeasible:
                 assert not all(want), text
                 continue
-            assert got.classes == tuple(want), (text, k)
+            assert got == tuple(want), (text, k)
             seen["costed"] += any(el.cost for cls in want for el in cls)
         assert min(seen.values()) > 20, seen
 
@@ -266,8 +264,8 @@ class TestGhostPricing:
         # A left-to-right sum of six 0.1s is 0.6 before Python 3.12 and 0.6000000000000001 after; the product is the latter.
         cm = CostModel(0.1, {}, 1, theta=1.0, tau=1)
         sites = separator_sites("aaaaa#aaaaa", 6, "a", cm, frozenset())
-        mck = build_mck(sites, {"aaaaaa": (0, 1)}, cm)
-        assert [el.cost for el in mck.classes[0]] == [0.6000000000000001, 0.5]  # a, then deletion's five
+        classes = mcsr_mod._price(sites, {"aaaaaa": (0, 1)}, cm)
+        assert [el.cost for el in classes[0]] == [0.6000000000000001, 0.5]  # a, then deletion's five
 
 
 class TestResultCounts:
@@ -386,7 +384,7 @@ def _parent_mcsr(text, inst, cm, implausible, rounds):
             if not elements:
                 raise Infeasible(f"no admissible choice for separator {i}; Z cannot be constructed")
             classes.append(tuple(elements))
-        selection = solve_mck(MckInstance(tuple(classes), cm.theta))
+        selection = solve_mck(tuple(classes), cm.theta)
         choices = [el.choice for el in selection]
         z, spans = _junction_spans(parts, choices, k)
         site_windows, starts, violation = [], set(), None
@@ -409,7 +407,7 @@ class TestAgainstTheParentConstruction:
     def test_results_equal_the_reference(self, monkeypatch):
         rounds = []
         solve = mcsr_mod.solve_mck
-        monkeypatch.setattr(mcsr_mod, "solve_mck", lambda mck: rounds.append(mck) or solve(mck))
+        monkeypatch.setattr(mcsr_mod, "solve_mck", lambda classes, capacity: rounds.append((classes, capacity)) or solve(classes, capacity))
         rng = random.Random(45)
         seen = Counter()
         for case in range(3_000):
@@ -443,7 +441,7 @@ class TestAgainstTheParentConstruction:
             # On these inputs the re-check never banned a choice, and the package solves once.
             assert len(parent_rounds) == len(rounds) == (1 if seps else 0), (y, k)
             seen["tau > 1"] += tau > 1 and seps > 0
-            seen["theta binds"] += any(sum(max(el.weight for el in c) for c in m.classes) > m.capacity for m in rounds)
+            seen["theta binds"] += any(sum(max(el.weight for el in c) for c in classes) > capacity for classes, capacity in rounds)
             seen["implausible"] += bool(implausible) and seps > 0
             seen["weight above theta"] += seps > 0 and max(sub.values(), default=0) > (theta if theta is not None else seps)
             seen["blocks of k-1"] += _has_block_of_k_minus_1(y, k)
@@ -470,8 +468,8 @@ class TestBuildMck:
         cm = uniform_cost_model(tau=1, theta=1.0)
         sites = separator_sites(PAPER_Y, 4, "abc", cm, example1.sensitive_patterns)
         cands = candidate_ghosts(exposure_gains(sites), kmer_counts(PAPER_Y, 4), 1)
-        inst = build_mck(sites, cands, cm)
-        choices = {el.choice for el in inst.classes[0]}
+        classes = mcsr_mod._price(sites, cands, cm)
+        choices = {el.choice for el in classes[0]}
         assert "a" not in choices  # bba + a + aab recreates bbaa
         assert "" not in choices  # deleting joins bba|aab, recreating bbaa
         assert "c" in choices
@@ -479,30 +477,30 @@ class TestBuildMck:
     def test_zero_cost_when_no_candidates(self, example1):
         cm = uniform_cost_model(tau=1, theta=1.0)
         empty = candidate_ghosts(exposure_gains(_table("abcabc", 3, "abc")), kmer_counts("abcabc", 3), 1)  # no separators: empty
-        inst = build_mck(separator_sites(PAPER_Y, 4, "abc", cm, example1.sensitive_patterns), empty, cm)
-        assert all(el.cost == 0 for cls in inst.classes for el in cls)
+        classes = mcsr_mod._price(separator_sites(PAPER_Y, 4, "abc", cm, example1.sensitive_patterns), empty, cm)
+        assert all(el.cost == 0 for cls in classes for el in cls)
 
 
 class TestSolveMck:
     def test_single_class_capacity(self):
         classes = ((MckElement("a", 5, 1), MckElement("b", 2, 3)),)
-        assert solve_mck(MckInstance(classes, capacity=3))[0].choice == "b"
-        assert solve_mck(MckInstance(classes, capacity=2))[0].choice == "a"
+        assert solve_mck(classes, 3)[0].choice == "b"
+        assert solve_mck(classes, 2)[0].choice == "a"
 
     def test_infeasible_capacity(self):
         classes = ((MckElement("a", 1, 5),),)
         with pytest.raises(Infeasible):
-            solve_mck(MckInstance(classes, capacity=4))
+            solve_mck(classes, 4)
 
     def test_rejects_fractional_weights(self):
         classes = ((MckElement("a", 1, 0.5),),)
         with pytest.raises(ValueError):
-            solve_mck(MckInstance(classes, capacity=4))
+            solve_mck(classes, 4)
 
     def test_negative_infinite_capacity_is_infeasible(self):
         classes = ((MckElement("a", 1, 0),),)
         with pytest.raises(Infeasible, match="^negative capacity$"):
-            solve_mck(MckInstance(classes, capacity=-math.inf))
+            solve_mck(classes, -math.inf)
 
     def test_table_tie_order_is_pinned(self):
         # Of several equal-cost selections the table returns the one its tie
@@ -523,7 +521,7 @@ class TestSolveMck:
             binding += 1
             capacity = rng.randint(0, worst - 1) + rng.choice([0, 0.5])
             try:
-                picked = solve_mck(MckInstance(tuple(classes), capacity))
+                picked = solve_mck(tuple(classes), capacity)
             except Infeasible:
                 picked = None
             digest.update(repr(picked).encode())
@@ -535,7 +533,7 @@ class TestSolveMck:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as exc:
-                solve_mck(MckInstance(classes, capacity=theta))
+                solve_mck(classes, theta)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -553,14 +551,13 @@ class TestSolveMck:
                 tuple(MckElement(chr(97 + j), rng.randint(0, 9), rng.randint(0, 4)) for j in range(sigma))
                 for _ in range(delta)
             )
-            inst = MckInstance(classes=classes, capacity=theta)
             try:
-                got = solve_mck(inst)
+                got = solve_mck(classes, theta)
             except Infeasible:
                 with pytest.raises(Infeasible):
-                    oracle_mck(inst)
+                    oracle_mck(classes, theta)
                 continue
-            cost, _ = oracle_mck(inst)
+            cost, _ = oracle_mck(classes, theta)
             assert sum(el.cost for el in got) == cost
             assert sum(el.weight for el in got) <= theta
 

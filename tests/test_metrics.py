@@ -337,7 +337,7 @@ def test_report_serialization_round_trip_keys():
     rep.lost = ["ab"]
     rep.ghost = []
     rep.runtimes_ms = {"tfs": 0.5}
-    text = rep.to_text()
+    text = rep.to_text(Alphabet.from_text("ab"))
     lines = dict(
         line.split("=", 1) for line in text.strip().splitlines() if not line.startswith(("lost=", "ghost="))
     )
@@ -352,4 +352,4 @@ def test_report_prints_distortion_as_the_exact_integer():
     rep = MetricsReport(pipeline="ba")
     for value, printed in ((0.0, "0"), (999_999.0, "999999"), (1_854_697.0, "1854697"), (2.0**60, str(2**60))):
         rep.distortion = value
-        assert f"\ndistortion={printed}\n" in rep.to_text(), value
+        assert f"\ndistortion={printed}\n" in rep.to_text(Alphabet.from_text("ab")), value

@@ -5,7 +5,6 @@ import pytest
 from seqsan import (
     Infeasible,
     MckElement,
-    MckInstance,
     build_instance,
     edit_distance,
     etfs_sanitize,
@@ -102,19 +101,18 @@ class TestOracleMinEtfs:
 class TestOracleMck:
     def test_single_class(self):
         classes = ((MckElement("a", 3, 1), MckElement("b", 1, 2)),)
-        cost, picks = oracle_mck(MckInstance(classes, capacity=1))
+        cost, picks = oracle_mck(classes, 1)
         assert cost == 3 and picks[0].choice == "a"
 
     def test_infeasible(self):
         classes = ((MckElement("a", 1, 9),),)
         with pytest.raises(Infeasible):
-            oracle_mck(MckInstance(classes, capacity=3))
+            oracle_mck(classes, 3)
 
     def test_budget(self):
         cls = tuple(MckElement(str(i), 1, 1) for i in range(30))
-        inst = MckInstance(classes=(cls,) * 6, capacity=100)
         with pytest.raises(BudgetExceeded):
-            oracle_mck(inst, OracleBudget(max_candidates=1000))
+            oracle_mck((cls,) * 6, 100, OracleBudget(max_candidates=1000))
 
 
 class TestOracleFoSsm:

@@ -34,7 +34,7 @@ def test_cli_loads_only_the_package_modules_it_runs():
     code = "import sys, seqsan.cli; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'seqsan'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
-    stages = ["cli", "core", "errors", "etfs", "mcsr", "metrics", "pfs", "tfs"]
+    stages = ["cli", "core", "etfs", "mcsr", "metrics", "pfs", "tfs"]
     assert loaded == ["seqsan"] + [f"seqsan.{name}" for name in stages]
 
 

@@ -13,27 +13,29 @@ in a row.  The optimum is found by approximate regular-expression matching:
 compile the language to an epsilon-automaton with symbolic any-letter edges
 and run an edit-distance dynamic program over (input position, automaton
 state), then trace back a witness.  The automaton is built once, straight
-into the in-edge lists of each state that the sweep and the traceback read,
-each list already in the order they try its edges.
+into the in-edges of each state, which the traceback tries in order, and the
+out-edges of each state, which the forward pass follows.
 
-Each column takes one sweep over the states in order: every in-column edge
-but the filler loops' '#' back-edges runs forward, and those never lower a
-value.  A column keeps a state only if its value plus a lower bound on the
-rest of the alignment is at most a bound D: with r letters left to read, a
-state from which the automaton must still emit m letters to accept costs at
-least max(0, m - r) more (A* with a consistent heuristic, which drops no cell
-of an alignment within D).  D is the distance to the TFS output (the
-language's shortest member), as in Ukkonen's cut-off, so it is never below
-the optimum.  Each column sweeps from its first kept state to its last and
-stores only its kept states and their values; the traceback re-derives each
-parent from those stored cells, since the consistent bound never lets a
-dropped cell tie with a kept one.
+A column starts from the cells the previous column kept: each offers the
+letter to the ends of its consuming out-edges, and a deleted letter to its
+own state.  The column's states then settle in increasing order, each kept
+one offering its value along its in-column out-edges, which all run forward:
+the filler loops' '#' back-edges never lower a value inside a column.  A
+state is kept only if its value plus a lower bound on the rest of the
+alignment is at most a bound D: with r letters left to read, a state from
+which the automaton must still emit m letters, s of them '#', costs at least
+max(0, m - r, s) more, as the source has no '#'.  This is A* with a
+consistent heuristic: no cell of an alignment within D is dropped, and no
+dropped cell could have given a kept one its value.  D is the distance to the
+TFS output (the language's shortest member), as in Ukkonen's cut-off, so it
+is never below the optimum.  A column stores only its kept states and their
+values; the traceback re-derives each parent from those stored cells.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -41,6 +43,8 @@ from .core import SEPARATOR, SanitizationInstance
 from .metrics import edit_distance
 
 ANY = -1  # consuming-edge label: any single alphabet letter
+STAY = ((0, -2),)  # each state's first consuming out-edge, to itself on a label no letter matches: a deletion
+STEP = (((1, 0),), ((1, 1),))  # col_out of a state whose one out-edge steps to the next: by epsilon, by an insertion
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,14 @@ def _value(column: tuple[array, array], x: int) -> int:
     return vals[i] if i < len(states) and states[i] == x else INF
 
 
+class _Shared(dict):
+    """Out-edge tuples, one per key: (edges, d, label) gives edges + ((d, label),), a label STAY and a step on it."""
+
+    def __missing__(self, key: tuple | int) -> tuple:
+        self[key] = out = key[0] + (key[1:],) if isinstance(key, tuple) else STAY + ((1, key),)
+        return out
+
+
 class _Matcher:
     """Edit-distance DP over (input position, automaton state), pruned to a bound.
 
@@ -75,114 +87,113 @@ class _Matcher:
     """
 
     def __init__(self, k: int, chains: tuple[str, ...]):
-        sep = ord(SEPARATOR)
-        # In-edges of each state, made once, in the order the sweep and the
-        # traceback try them: cons_in (src, label) in creation order, col_in
-        # (src, cost, label) by ascending source, one edge per source.
+        sep, shared = ord(SEPARATOR), _Shared()
+        # In-edges of each state, in the order the traceback tries them:
+        # cons_in (src, label) in creation order, col_in (src, cost, label) by
+        # ascending source, one edge per source.  Its out-edges, for the sweep,
+        # are shared tuples.  minsep[s], the fewest '#' from s to accept, is the
+        # chain junctions still ahead, plus one in any filler loop but the last.
         cons_in: list[list[tuple[int, int]]] = [[]]
         col_in: list[list[tuple[int, int, int]]] = [[]]
+        cons_out: list[tuple] = [STAY]  # (dst - src, label) pairs
+        col_out: list[tuple] = [()]  # (dst - src, cost) pairs
+        self.minsep = minsep = [max(0, len(chains) - 1)]
 
-        def chain(src: int, labels) -> int:
-            """One new state per label after `src`; an ANY step may also be skipped."""
+        def chain(src: int, labels, owed: int) -> int:
+            """One new state per label after `src`, each owing `owed` '#'; an ANY step may also be skipped."""
             for lab in labels:
-                cons_in.append([(src, lab)])
+                dst = len(cons_in)
                 # The epsilon edge beside an ANY step costs less than inserting a letter on it, so it stands in.
-                col_in.append([(src, 0, ANY) if lab == ANY else (src, 1, lab)])
-                src = len(cons_in) - 1
+                w = 0 if lab == ANY else 1
+                cons_in.append([(src, lab)])
+                col_in.append([(src, w, lab)])
+                step = dst == src + 1 and cons_out[src] is STAY  # src's first out-edge, to the state after it
+                cons_out[src] = shared[lab] if step else shared[cons_out[src], dst - src, lab]
+                col_out[src] = STEP[w] if step else shared[col_out[src], dst - src, w]
+                cons_out.append(STAY)
+                col_out.append(())
+                minsep.append(owed)
+                src = dst
             return src
 
-        def loop(head: int) -> int:
+        def loop(head: int, owed: int) -> int:
             """Filler at `head`: up to k-1 letters, then '#' back to the head."""
-            last = chain(head, [ANY] * (k - 1))
+            last = chain(head, [ANY] * (k - 1), owed)
             # The only backward edge.  A value at `last` comes through `head`
             # or from the previous column at a loop state, where `last` is
             # epsilon-reachable and so no worse; consuming the letter as '#'
             # on this edge already offered `head` that value plus one.  So it
-            # never lowers `head` inside a column, and one sweep in state
-            # order reaches the fixpoint: it is not in col_in.
+            # never lowers `head` inside a column: it is not in col_in.
             cons_in[head].append((last, sep))
+            cons_out[last] = shared[cons_out[last], head - last, sep]
             return last
 
-        # Kept states lo..hi feed the next column only from lo - behind to
-        # hi + ahead: `ahead` is the longest forward jump of an edge.
-        ahead = 1
         if not chains:
-            cur = chain(0, [ANY] * (k - 1))
+            cur = chain(0, [ANY] * (k - 1), 0)
         else:
-            loop(0)  # leading filler loops back to the start
-            cur = chain(0, map(ord, chains[0][:k]))
+            loop(0, len(chains))  # leading filler loops back to the start
+            cur = chain(0, map(ord, chains[0][:k]), len(chains) - 1)
             # Every later window, the one ending at spelled[i], follows filler;
             # after a chain's first window it may instead fuse on by spelled[i].
             for c, spelled in enumerate(chains):
+                owed = len(chains) - 1 - c
                 for i in range(k - 1 if c else k, len(spelled)):
-                    h = chain(cur, [sep])
-                    loop(h)
-                    nxt = chain(h, map(ord, spelled[i - k + 1 : i + 1]))
+                    h = chain(cur, [sep], owed)
+                    loop(h, owed + 1)
+                    nxt = chain(h, map(ord, spelled[i - k + 1 : i + 1]), owed)
                     if i >= k:  # the fused edge's source is below the chain edge's, nxt - 1
-                        cons_in[nxt].append((cur, ord(spelled[i])))
-                        col_in[nxt].insert(0, (cur, 1, ord(spelled[i])))
-                        ahead = max(ahead, nxt - cur)
+                        lab = ord(spelled[i])
+                        cons_in[nxt].append((cur, lab))
+                        col_in[nxt].insert(0, (cur, 1, lab))
+                        cons_out[cur] = shared[cons_out[cur], nxt - cur, lab]
+                        col_out[cur] = shared[col_out[cur], nxt - cur, 1]
                     cur = nxt
-        h = chain(cur, [sep])
-        last = loop(h)
-        self.accept = len(cons_in)
-        cons_in.append([])
-        col_in.append([(cur, 0, ANY), (last, 0, ANY)])
-        self.cons_in, self.col_in = cons_in, col_in
-        self.ahead, self.behind = max(ahead, self.accept - cur), k - 1  # a '#' back-edge jumps k-1 states back
+        last = loop(chain(cur, [sep], 0), 0)
+        self.accept = accept = chain(cur, [ANY], 0)  # for its epsilon edge from cur; accept consumes nothing
+        cons_in[accept], cons_out[cur] = [], cons_out[cur][:-1]
+        col_in[accept].append((last, 0, ANY))
+        col_out[last] = shared[col_out[last], accept - last, 0]
+        self.cons_in, self.col_in, self.cons_out, self.col_out = cons_in, col_in, cons_out, col_out
         # minrem[s]: the fewest letters a path from s to accept emits, by a
         # backward 0-1 BFS (a consuming edge emits one letter, an epsilon none).
-        self.minrem = minrem = [INF] * len(cons_in)
-        minrem[self.accept] = 0
-        queue = deque([self.accept])
+        self.minrem = minrem = [INF] * accept + [0]
+        queue = deque([accept])
         while queue:
             x = queue.popleft()
-            for s, _lab in self.cons_in[x]:
+            for s, _lab in cons_in[x]:
                 if minrem[x] + 1 < minrem[s]:
                     minrem[s] = minrem[x] + 1
                     queue.append(s)
-            for s, w, _lab in self.col_in[x]:  # the epsilon edges, among others
+            for s, w, _lab in col_in[x]:  # the epsilon edges, among others
                 if w == 0 and minrem[x] < minrem[s]:
                     minrem[s] = minrem[x]
                     queue.appendleft(s)
 
-    def _column(
-        self, prev: list[int], cur: list[int], oc: int, x: int, limit: int, bound: int, rem: int
-    ) -> tuple[array, array, int]:
-        """Fill `cur` from `prev` for letter code `oc`, sweeping states from `x` in order.
+    def _column(self, cur: list[int], todo: list[int], bound: int, rem: int) -> tuple[array, array]:
+        """Settle the states in `todo`, whose values the previous column offered in `cur`, in increasing order.
 
-        `rem` letters are left to read after this column.  State s is kept when
-        its value plus h = max(0, minrem[s] - rem) is at most `bound`; h is
-        consistent, so every cell on an alignment within the bound, and every
-        tied parent of one, is kept.  The sweep ends past `limit`, which grows
-        with each kept state.  Returns the kept states and their values, in
-        state order, and the end of the filled range.
+        State s is kept when its value plus h = max(0, minrem[s] - rem,
+        minsep[s]) is at most `bound`, with `rem` letters left to read; only a
+        kept state offers its value along its in-column out-edges, which all
+        run forward.  Resets `cur` to INF; returns the kept states and values.
         """
-        cons_in, col_in, minrem, ahead, last = self.cons_in, self.col_in, self.minrem, self.ahead, len(cur) - 1
+        col_out, minrem, minsep = self.col_out, self.minrem, self.minsep
         cap = bound + rem
         states, vals = array("i"), array("i")
-        keep_state, keep_value = states.append, vals.append
-        while x <= limit:
+        todo.sort()
+        for x in todo:  # a state inserted below lands after x, so this loop reaches it
             v = cur[x]
-            u = prev[x] + 1
-            if u < v:
-                v = u
-            for s, lab in cons_in[x]:
-                u = prev[s] if lab == ANY or lab == oc else prev[s] + 1
-                if u < v:
-                    v = u
-            for s, w, _lab in col_in[x]:
-                u = cur[s] + w
-                if u < v:
-                    v = u
-            cur[x] = v
-            if v <= bound and v + minrem[x] <= cap:
-                keep_state(x)
-                keep_value(v)
-                if x + ahead > limit:
-                    limit = min(x + ahead, last)
-            x += 1
-        return states, vals, x
+            cur[x] = INF
+            if v + minsep[x] <= bound and v + minrem[x] <= cap:
+                states.append(x)
+                vals.append(v)
+                for d, w in col_out[x]:
+                    z = x + d
+                    if v + w < cur[z]:
+                        if cur[z] == INF:
+                            insort(todo, z)
+                        cur[z] = v + w
+        return states, vals
 
     def match(self, text: str, bound: int) -> MatchResult:
         """Closest member to `text`, in one pass that keeps the cells within `bound`.
@@ -191,22 +202,26 @@ class _Matcher:
         state is not kept and this raises ValueError.  At `bound` = INF no cell
         is dropped.
         """
-        n, last = len(text), len(self.cons_in) - 1
+        if SEPARATOR in text:  # minsep's bound counts every '#' of a member as an edit
+            raise ValueError("input sequence contains the reserved separator '#'")
+        n, cons_out = len(text), self.cons_out
         codes = [ord(ch) for ch in text]
-        prev, cur = [INF] * (last + 1), [INF] * (last + 1)
-        cur[0] = 0
-        states, vals, end = self._column(prev, cur, ANY, 0, 0, bound, n)  # column 0 reads no letter
+        cur = [0] + [INF] * (len(cons_out) - 1)  # column 0 starts at state 0 and reads no letter
+        states, vals = self._column(cur, [0], bound, n)
         columns = [(states, vals)]
-        filled, stale = (0, end), (0, 0)
         for j, oc in enumerate(codes, start=1):
             if not states:
                 break
-            prev, cur = cur, prev
-            cur[stale[0] : stale[1]] = [INF] * (stale[1] - stale[0])
-            start = max(0, states[0] - self.behind)
-            states, vals, end = self._column(prev, cur, oc, start, min(last, states[-1] + self.ahead), bound, n - j)
+            todo = []
+            for y, v in zip(states, vals):
+                for d, lab in cons_out[y]:  # the kept cells offer the letter; STAY deletes it
+                    x, u = y + d, v if lab == ANY or lab == oc else v + 1
+                    if u < cur[x]:
+                        if cur[x] == INF:
+                            todo.append(x)
+                        cur[x] = u
+            states, vals = self._column(cur, todo, bound, n - j)
             columns.append((states, vals))
-            filled, stale = (start, end), filled
         distance = _value(columns[-1], self.accept)  # INF after an empty column
         if distance == INF:
             raise ValueError(f"no alignment within bound {bound}; the bound must be at least the optimal distance")

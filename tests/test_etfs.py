@@ -12,7 +12,7 @@ from seqsan import (
     tfs_sanitize,
     verify,
 )
-from seqsan.etfs import ANY, INF, _Matcher
+from seqsan.etfs import ANY, INF, STAY, _Matcher
 from conftest import random_instance
 from oracles import EdgeListAutomaton, matches, nonsensitive_starts
 
@@ -94,6 +94,12 @@ class TestApproxRegexMatch:
         assert res.distance == 0
         assert res.text == inst.text
 
+    def test_input_with_a_separator_is_refused(self, example_merge_chain):
+        # The '#' bound assumes the input has none, as build_instance ensures.
+        inst = example_merge_chain
+        with pytest.raises(ValueError, match="reserved separator"):
+            approx_regex_match(inst.text[:5] + "#" + inst.text[5:], inst.k, inst.chains)
+
     def test_trace_is_an_alignment(self, example_merge_chain):
         res = etfs_sanitize(example_merge_chain)
         consumed = sum(1 for op, _ch in res.trace if op in ("match", "substitute", "delete"))
@@ -104,26 +110,31 @@ class TestApproxRegexMatch:
         assert cost == res.distance
 
     def test_one_sweep_reaches_the_fixpoint(self):
-        # No in-column edge, the '#' back-edges included, can lower a swept column.
+        # No in-column edge, the '#' back-edges included, can lower a settled
+        # column.  The previous column's offers come from the edge-list automaton.
         rng = random.Random(22)
         for _ in range(40):
             inst = random_instance(rng, n_min=4, n_max=30)
             auto = EdgeListAutomaton(inst.k, inst.chains)
             matcher = _Matcher(inst.k, inst.chains)
-            prev, cur = [INF] * auto.n_states, [INF] * auto.n_states
-            cur[0] = 0
+            prev, cur = [INF] * auto.n_states, [0] + [INF] * (auto.n_states - 1)
             for j, oc in enumerate([ANY] + [ord(ch) for ch in inst.text]):  # column 0 reads no letter
                 if j:
-                    prev, cur = cur, [INF] * auto.n_states
-                matcher._column(prev, cur, oc, 0, 0, INF, len(inst.text) - j)
-                assert all(cur[src] >= cur[dst] for src, dst in auto.eps)
-                assert all(cur[src] + 1 >= cur[dst] for src, dst, _lab in auto.cons)
+                    for src, dst, lab in auto.cons + [(x, x, None) for x in range(auto.n_states)]:  # and deletions
+                        cur[dst] = min(cur[dst], prev[src] + (lab not in (ANY, oc)))
+                todo = [x for x in range(auto.n_states) if cur[x] < INF]
+                states, vals = matcher._column(cur, todo, INF, len(inst.text) - j)
+                assert cur == [INF] * auto.n_states
+                prev = [INF] * auto.n_states
+                for x, v in zip(states, vals):
+                    prev[x] = v
+                assert all(prev[src] >= prev[dst] for src, dst in auto.eps)
+                assert all(prev[src] + 1 >= prev[dst] for src, dst, _lab in auto.cons)
 
     def test_in_column_edges_match_the_sorted_build(self):
         # The reference: sort every edge of the edge-list automaton as (src,
         # cost, dst, edge index, label) and keep, per (dst, src) with src < dst,
-        # the first one; the consuming in-edges come in creation order, and
-        # the jumps bound the frontier.
+        # the first one; the consuming in-edges come in creation order.
         rng = random.Random(26)
         for case in range(3000):
             inst = random_instance(rng, n_min=2, n_max=40, ks=(1, 2, 3, 4, 5))
@@ -142,8 +153,18 @@ class TestApproxRegexMatch:
                 cons_in[dst].append((src, lab))
             assert matcher.cons_in == cons_in, (inst.text, inst.k)
             assert matcher.accept == auto.accept
-            jumps = [dst - src for src, dst, _lab in auto.cons] + [dst - src for src, dst in auto.eps]
-            assert (matcher.ahead, matcher.behind) == (max(jumps), max(0, -min(jumps)))
+            # The out-edges are exactly the transpose of the in-edges, as
+            # (dst - src, label) and (dst - src, cost) pairs; each state's
+            # consuming ones start with STAY, its deletion.
+            cons_out, col_out = [[] for _ in range(auto.n_states)], [[] for _ in range(auto.n_states)]
+            for dst in range(auto.n_states):
+                for src, lab in cons_in[dst]:
+                    cons_out[src].append((dst - src, lab))
+                for src, w, _lab in want[dst]:
+                    col_out[src].append((dst - src, w))
+            assert [out[:1] for out in matcher.cons_out] == [STAY] * auto.n_states
+            assert [sorted(out[1:]) for out in matcher.cons_out] == [sorted(out) for out in cons_out]
+            assert [sorted(out) for out in matcher.col_out] == [sorted(out) for out in col_out]
 
     def test_cut_off_does_not_change_the_result(self):
         # A bound at the optimum gives the unpruned result; a bound below it raises.
@@ -184,6 +205,27 @@ class TestLowerBound:
                 best[src] = min(best[src], minrem[dst])
             assert all(minrem[s] == best[s] for s in range(auto.n_states) if s != auto.accept)
 
+    def test_minsep_is_the_fewest_separators_left_to_emit(self):
+        rng = random.Random(28)
+        sep = ord("#")
+        for case in range(300):
+            inst = random_instance(rng, n_min=2, n_max=40, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5, 6))
+            chains = () if case % 5 == 0 else inst.chains
+            auto = EdgeListAutomaton(inst.k, chains)
+            minsep = _Matcher(inst.k, chains).minsep
+            assert len(minsep) == auto.n_states and minsep[auto.accept] == 0
+            assert minsep[0] == max(0, len(chains) - 1)  # the shortest member's '#'
+            # Consistent: no edge lowers it by more than the '#' the edge emits.
+            assert all(minsep[src] <= minsep[dst] + (lab == sep) for src, dst, lab in auto.cons)
+            assert all(minsep[src] <= minsep[dst] for src, dst in auto.eps)
+            # Tight: every other state has an out-edge that attains it.
+            best = [INF] * auto.n_states
+            for src, dst, lab in auto.cons:
+                best[src] = min(best[src], minsep[dst] + (lab == sep))
+            for src, dst in auto.eps:
+                best[src] = min(best[src], minsep[dst])
+            assert all(minsep[s] == best[s] for s in range(auto.n_states) if s != auto.accept)
+
     def test_one_pass_at_the_optimum_keeps_just_the_cells_within_it(self, monkeypatch):
         # A cell whose value plus its lower bound h equals the bound is kept, so
         # one pass at the optimum finds it; a column stores its kept cells only.
@@ -195,11 +237,12 @@ class TestLowerBound:
             reference = matcher.match(inst.text, INF)
             column, bounds = matcher._column, []
 
-            def recording(prev, cur, oc, x, limit, bound, rem):
+            def recording(cur, todo, bound, rem):
                 bounds.append(bound)
-                states, vals, end = column(prev, cur, oc, x, limit, bound, rem)
-                assert all(v + max(0, matcher.minrem[s] - rem) <= bound for s, v in zip(states, vals))
-                return states, vals, end
+                states, vals = column(cur, todo, bound, rem)
+                h = [max(0, matcher.minrem[s] - rem, matcher.minsep[s]) for s in states]
+                assert all(v + hs <= bound for hs, v in zip(h, vals))
+                return states, vals
 
             monkeypatch.setattr(matcher, "_column", recording)
             assert matcher.match(inst.text, reference.distance) == reference
@@ -286,6 +329,29 @@ class TestEtfsSanitize:
 
 
 class TestComplexityEnvelope:
+    def test_a_column_settles_only_its_frontier(self, monkeypatch):
+        # Work, not wall clock, on a sparse input: a column settles the states
+        # the previous column's kept cells reach, and those its own kept cells
+        # reach, about 2 per kept cell here.  A sweep over every state from a
+        # column's first kept one to its last settles about 10 per kept cell.
+        rng = random.Random(32)
+        n = 2000
+        text = "".join(rng.choice("abcdefghij") for _ in range(n))
+        inst = build_instance(text, 5, positions=rng.sample(range(n - 4), n // 100))
+        matcher = _Matcher(inst.k, inst.chains)
+        column, work = matcher._column, {"settled": 0, "kept": 0}
+
+        def counting(cur, todo, bound, rem):
+            states, vals = column(cur, todo, bound, rem)
+            work["settled"] += len(todo)  # the states it settled, in order
+            work["kept"] += len(states)
+            return states, vals
+
+        monkeypatch.setattr(matcher, "_column", counting)
+        matcher.match(inst.text, edit_distance(inst.text, "#".join(inst.chains)))
+        assert work["kept"] == 71691  # the cells whose value plus h is within the bound, of the unpruned table
+        assert work["kept"] <= work["settled"] <= 3 * work["kept"], work
+
     def test_state_count_is_exact(self):
         # 2kW + k + 1 states for W >= 1 chain windows (see test_example_structure), 2k + 1 with no chain.
         rng = random.Random(21)

@@ -290,6 +290,11 @@ class TestEditDistance:
             a = "".join(rng.choices("abc", k=rng.randint(0, 30)))
             b = "".join(rng.choices("abc#", k=rng.randint(0, 30)))
             cases += [(a, b), (a, a[: rng.randint(0, len(a))] + b[:2]), (a + b * 3, a)]
+        # Masks of more than one machine word, letters only one side has, and token-mode letters past ASCII.
+        for _ in range(60):
+            a = "".join(rng.choices("ab#c\u4e00", k=rng.randint(60, 150)))
+            b = "".join(rng.choices("abd\u4e00\u4e01", k=rng.randint(0, 150)))
+            cases += [(a, b), (b, a), (a, a[::-1])]
         for a, b in cases:
             assert edit_distance(a, b) == _levenshtein(a, b), (a, b)
 

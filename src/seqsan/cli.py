@@ -1,15 +1,5 @@
 """Command-line front end: pipelines, dataset I/O and verification.
 
-Pipelines compose the library stages:
-
-  tfs    shortest output preserving window order and frequency (may contain '#')
-  pfs    shorter output preserving overlap chains and frequency (may contain '#')
-  tpm    tfs -> pfs -> separator replacement (output over the alphabet only)
-  tm     tfs -> separator replacement (with --rho, tm and tpm report implausible_pct)
-  tmi    tfs -> separator replacement avoiding implausible patterns (needs --rho)
-  etfs   minimal-edit-distance output (may contain '#')
-  ba     greedy in-place baseline
-
 Inputs are a sequence file and a sensitive-patterns file.  In char mode the
 sequence is one line of letters and each pattern is one line; in token mode
 tokens are whitespace-separated.  Reports are flat `key=value` lines so runs
@@ -44,8 +34,16 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
 
-PIPELINES = ("tpm", "tm", "tmi", "etfs", "ba", "tfs", "pfs")
-_MCSR_PIPELINES = ("tpm", "tm", "tmi")  # the pipelines that end in separator replacement
+# Each pipeline's stages in run order, and the verify levels its output passes.
+PIPELINES = {
+    "tpm": (("tfs", "pfs", "mcsr"), ("C1", "P3", "P4")),
+    "tm": (("tfs", "mcsr"), ("C1", "P3", "P4")),
+    "tmi": (("tfs", "implausible", "mcsr"), ("C1", "P3", "P4")),
+    "etfs": (("tfs", "etfs"), ("C1", "P1", "P2")),
+    "ba": (("ba",), ("C1",)),
+    "tfs": (("tfs",), mt.VERIFY_LEVELS),
+    "pfs": (("tfs", "pfs"), ("C1", "Pi1", "P2", "P3", "P4")),
+}
 
 
 class InputError(ValueError):
@@ -219,50 +217,51 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
 
 
 def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[str, MetricsReport]:
-    """Execute the pipeline the command line names and assemble its metrics report."""
-    report = MetricsReport(pipeline=args.pipeline)
-    report.lengths["w"] = inst.n
-    timings = report.runtimes_ms
+    """Run the stages of the pipeline the command line names, in order, and assemble its metrics report."""
+    stages, _levels = PIPELINES[args.pipeline]
+    report = MetricsReport(pipeline=args.pipeline, lengths={"w": inst.n})
     # Read before any stage runs, so that a malformed file fails fast.
-    cm = _load_cost_model(args, inst.alphabet) if args.pipeline in _MCSR_PIPELINES else None
+    cm = _load_cost_model(args, inst.alphabet) if "mcsr" in stages else None
 
-    def timed(name: str, fn, *fn_args, **fn_kwargs):
+    def timed(name: str, fn, *fn_args):
         start = time.perf_counter()
-        value = fn(*fn_args, **fn_kwargs)
-        timings[name] = (time.perf_counter() - start) * 1000.0
+        value = fn(*fn_args)
+        report.runtimes_ms[name] = (time.perf_counter() - start) * 1000.0
         return value
 
-    if args.pipeline in ("tfs", "pfs", "tpm", "tm", "tmi", "etfs"):
-        out = timed("tfs", tfs_sanitize, inst)
-        report.lengths["x"] = len(out)
-    if args.pipeline in ("pfs", "tpm"):
-        out = timed("pfs", pfs_sanitize, inst)
-        report.lengths["y"] = len(out)
-    if args.pipeline in ("tfs", "pfs"):
-        # A TFS or PFS output keeps every non-sensitive count of the source (P2), the only counts measured.
-        before = after = Counter()
-    if args.pipeline in _MCSR_PIPELINES:
-        implausible = None if args.rho is None else timed("implausible", implausible_set, inst, args.rho)
-        # tmi avoids the implausible windows; tm and tpm only measure them.
-        avoided = implausible if args.pipeline == "tmi" else None
-        result = timed("mcsr", mcsr_sanitize, out, inst, cm, avoided)
-        report.lengths["z"] = len(result.text)
-        # The rewrite's input has the source's non-sensitive counts, so only the patterns it added changed.
-        out, (before, after) = result.text, result.changed_counts()
-        if implausible is not None:
-            report.implausible_pct = _implausible_pct(result.site_windows, implausible)
-    if args.pipeline == "etfs":
-        match = timed("etfs", etfs_sanitize, inst)
-        report.lengths["xed"] = len(match.text)
-        report.edit_distance = match.distance
-        # The cut-off starts from the TFS output's distance, the heuristic one that edre compares with the optimum.
-        # An optimum of 0 means no window is sensitive, so the TFS output is the source and edre is 0.
-        report.edre = mt.edre(match.shortest_distance, match.distance)
-        out, before, after = match.text, inst.counts, kmer_counts(match.text, inst.k)
-    if args.pipeline == "ba":
-        out = timed("ba", mt.ba_sanitize, inst)
-        report.lengths["zba"] = len(out)
-        before, after = inst.counts, kmer_counts(out, inst.k)
+    # A TFS or PFS output keeps every non-sensitive count of the source (P2), the only counts measured.
+    before = after = Counter()
+    implausible = avoided = None
+    for stage in stages:
+        if stage == "tfs":
+            out = timed("tfs", tfs_sanitize, inst)
+            report.lengths["x"] = len(out)
+        elif stage == "pfs":
+            out = timed("pfs", pfs_sanitize, inst)
+            report.lengths["y"] = len(out)
+        elif stage == "implausible":  # the windows the "mcsr" rewrite after it avoids
+            implausible = avoided = timed("implausible", implausible_set, inst, args.rho)
+        elif stage == "mcsr":
+            if implausible is None and args.rho is not None:  # with no "implausible" stage, only measured
+                implausible = timed("implausible", implausible_set, inst, args.rho)
+            result = timed("mcsr", mcsr_sanitize, out, inst, cm, avoided)
+            report.lengths["z"] = len(result.text)
+            # The rewrite's input has the source's non-sensitive counts, so only the patterns it added changed.
+            out, (before, after) = result.text, result.changed_counts()
+            if implausible is not None:
+                report.implausible_pct = _implausible_pct(result.site_windows, implausible)
+        elif stage == "etfs":
+            match = timed("etfs", etfs_sanitize, inst)
+            report.lengths["xed"] = len(match.text)
+            report.edit_distance = match.distance
+            # The cut-off starts from the TFS output's distance, the heuristic one that edre compares with the optimum.
+            # An optimum of 0 means no window is sensitive, so the TFS output is the source and edre is 0.
+            report.edre = mt.edre(match.shortest_distance, match.distance)
+            out, before, after = match.text, inst.counts, kmer_counts(match.text, inst.k)
+        elif stage == "ba":
+            out = timed("ba", mt.ba_sanitize, inst)
+            report.lengths["zba"] = len(out)
+            before, after = inst.counts, kmer_counts(out, inst.k)
 
     report.lengths["output"] = len(out)
     report.distortion, lost, ghost = mt.frequency_changes(before, after, args.tau, inst.sensitive_patterns)
@@ -280,9 +279,10 @@ def _implausible_pct(site_windows, implausible: frozenset[str]) -> float:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     # Checks across flags; the parser has checked each flag on its own.
-    if args.pipeline == "tmi" and args.rho is None:
-        raise InputError("pipeline tmi requires --rho")
-    if args.pipeline in _MCSR_PIPELINES and args.rho is not None and args.k <= 2:
+    stages, _levels = PIPELINES[args.pipeline]
+    if "implausible" in stages and args.rho is None:
+        raise InputError(f"pipeline {args.pipeline} requires --rho")
+    if "mcsr" in stages and args.rho is not None and args.k <= 2:
         raise InputError(f"--rho needs --k > 2 to score implausible patterns, got --k {args.k}")
     inst = parse_inputs(args)
     out, report = run_pipeline(args, inst)

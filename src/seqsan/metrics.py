@@ -53,9 +53,6 @@ class VerifyResult:
     ok: bool
     detail: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _leftover_chains(candidate: str, inst: SanitizationInstance) -> tuple[Counter[str], Counter[str]]:
     """The source's chains and the candidate's chains left after cancelling those both spell, as multisets."""

@@ -266,6 +266,27 @@ def test_gen_seeded_deterministic(tmp_path):
     assert set(text) <= set("abcd")
 
 
+def test_gen_char_mode_above_26_letters_is_input_error(tmp_path, capsys):
+    out = tmp_path / "w.txt"
+    assert main(["gen", "--n", "10", "--sigma", "27", "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.strip() == "error: char mode supports sigma <= 26; use --mode token"
+    assert not out.exists()
+
+
+def test_blank_pattern_line_is_read_as_absent(example1_files):
+    w, p, tmp = example1_files
+    blank = write(tmp / "p-blank.txt", "\nbaaa\n\n  \nbbaa\n")
+    written = []
+    for tag, patterns in (("plain", p), ("blank", blank)):
+        out, rep = tmp / f"{tag}.txt", tmp / f"{tag}.rep"
+        argv = ["sanitize", "--pipeline", "tpm", "--k", "4", "--in", w, "--patterns", patterns,
+                "--out", str(out), "--report", str(rep)]
+        assert main(argv) == EXIT_OK
+        report = [ln for ln in rep.read_text().splitlines() if not ln.startswith("runtime_ms_")]
+        written.append((out.read_text(), report))
+    assert written[0] == written[1]
+
+
 def test_gen_token_mode_large_sigma(tmp_path):
     out = tmp_path / "t.txt"
     assert main(["gen", "--n", "40", "--sigma", "100", "--seed", "1", "--mode", "token", "--out", str(out)]) == EXIT_OK
@@ -612,6 +633,33 @@ def test_run_pipeline_leaves_the_shared_counts_alone(example1, pipeline):
     order = list(example1.counts)
     cli.run_pipeline(args, example1)
     assert dict(example1.counts) == before and list(example1.counts) == order
+
+
+@pytest.mark.parametrize("pipeline", list(cli.PIPELINES))
+def test_each_pipeline_passes_the_levels_the_table_promises(pipeline):
+    # The table's levels are what a pipeline's output guarantees, so seeded runs must pass every one of them.
+    stages, levels = cli.PIPELINES[pipeline]
+    parser = cli.build_parser()
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(300):
+        ks = (3, 4, 5) if "implausible" in stages else (1, 2, 3, 4, 5)
+        inst = random_instance(rng, n_min=4, n_max=40, ks=ks, sensitive_rate=0.2)
+        argv = ["sanitize", "--pipeline", pipeline, "--k", str(inst.k), "--tau", str(rng.randint(1, 3)),
+                "--in", "-", "--patterns", "-"]
+        if "implausible" in stages or ("mcsr" in stages and inst.k > 2 and rng.random() < 0.3):
+            argv += ["--rho", str(rng.choice((-0.3, -0.5, -1.0)))]
+            seen["rho"] += 1
+        try:
+            out, _report = cli.run_pipeline(parser.parse_args(argv), inst)
+        except Infeasible:
+            seen["infeasible"] += 1
+            continue
+        failed = [(res.level, res.detail) for res in metrics.verify_levels(out, inst, levels) if not res.ok]
+        assert not failed, (inst.text, inst.k, argv, failed)
+        seen["verified"] += 1
+        seen["changed"] += out != inst.text
+    assert seen["verified"] >= 150 and seen["changed"] >= 100, seen
 
 
 _FUZZ_COST_MODELS = (

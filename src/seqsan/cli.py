@@ -11,23 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import random
 import re
-import string
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
-from . import metrics as mt
-from .core import SEPARATOR, Alphabet, SanitizationInstance, build_instance, kmer_counts
+from . import core, metrics as mt
+from .core import SEPARATOR, Alphabet, SanitizationInstance, _warn, build_instance, kmer_counts
 from .etfs import etfs_sanitize
 from .mcsr import CostModel, Infeasible, implausible_set, mcsr_sanitize, uniform_cost_model
 from .pfs import pfs_sanitize
 from .tfs import tfs_sanitize
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -50,19 +44,22 @@ class InputError(ValueError):
     """A malformed command line, or a file that failed to parse; the message names the flag or line/column."""
 
 
-@dataclass
 class MetricsReport:
-    """Flat bundle of utility measurements for one pipeline run."""
+    """Flat bundle of utility measurements for one pipeline run; the stages fill it in."""
 
-    pipeline: str
-    lengths: dict[str, int] = field(default_factory=dict)
-    distortion: float | None = None
-    lost: list[str] = field(default_factory=list)  # lost and ghost: sorted encoded patterns, written in that order
-    ghost: list[str] = field(default_factory=list)
-    edre: float | None = None
-    edit_distance: int | None = None
-    implausible_pct: float | None = None
-    runtimes_ms: dict[str, float] = field(default_factory=dict)
+    def __init__(self, pipeline: str, lengths: dict[str, int] | None = None) -> None:
+        self.pipeline = pipeline
+        self.lengths: dict[str, int] = {} if lengths is None else lengths
+        self.distortion: float | None = None
+        self.lost: list[str] = []  # lost and ghost: sorted encoded patterns, written in that order
+        self.ghost: list[str] = []
+        self.edre: float | None = None
+        self.edit_distance: int | None = None
+        self.implausible_pct: float | None = None
+        self.runtimes_ms: dict[str, float] = {}
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def to_text(self, alphabet: Alphabet) -> str:
         """Key=value lines; list-valued metrics repeat their key per entry."""
@@ -154,7 +151,7 @@ def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alph
             raise InputError(f"{path}:{lineno}:1: pattern has {len(tokens)} letters, expected k={k}")
         unknown = [t for t in tokens if t not in known]
         if unknown:
-            logger.warning("%s:%d: pattern uses letters absent from the sequence; it cannot occur", path, lineno)
+            _warn(__name__, "%s:%d: pattern uses letters absent from the sequence; it cannot occur", path, lineno)
             continue
         pats.append(alphabet.encode(tokens))
     return pats, poss
@@ -284,6 +281,11 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         raise InputError(f"pipeline {args.pipeline} requires --rho")
     if "mcsr" in stages and args.rho is not None and args.k <= 2:
         raise InputError(f"--rho needs --k > 2 to score implausible patterns, got --k {args.k}")
+    if "mcsr" not in stages:  # only the mcsr stage reads these flags; a pipeline without it refuses them
+        at_default = {"--theta": args.theta is None, "--cost-model": args.cost_model == "uniform", "--rho": args.rho is None}
+        given = [flag for flag, default in at_default.items() if not default]
+        if given:
+            raise InputError(f"pipeline {args.pipeline} has no mcsr stage to read {', '.join(given)}")
     inst = parse_inputs(args)
     out, report = run_pipeline(args, inst)
     if args.out is None:
@@ -298,6 +300,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    import random
+    import string
+
     if args.mode == "char" and args.sigma > 26:
         raise InputError("char mode supports sigma <= 26; use --mode token")
     rng = random.Random(args.seed)
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    core.LOG_FORMAT = "%(levelname)s %(message)s"
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

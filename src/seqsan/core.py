@@ -31,13 +31,11 @@ representation.  The separator '#' is reserved in both modes.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator
 
 SEPARATOR = "#"
 
@@ -47,11 +45,61 @@ SEPARATOR = "#"
 _TOKEN_BASE = 0xE000
 _MAX_TOKENS = 0x110000 - _TOKEN_BASE
 
-logger = logging.getLogger(__name__)
+# The format of the CLI's warnings, "WARNING <message>"; None, the library's default, leaves logging's set-up alone.
+LOG_FORMAT: str | None = None
 
 
-@dataclass(frozen=True)
-class Alphabet:
+def _warn(module: str, msg: str, *args) -> None:
+    """Log a warning on `module`'s logger; `logging` is imported here, so a run that warns of nothing never loads it."""
+    import logging
+
+    if LOG_FORMAT is not None:
+        logging.basicConfig(level=logging.WARNING, format=LOG_FORMAT)
+    logging.getLogger(module).warning(msg, *args)
+
+
+class _Frozen:
+    """Read-only fields, named in `_fields`, kept in `__dict__` beside the `cached_property` values.
+
+    Equality and hashing read every field; the repr shows those in `_shown`.
+    """
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, *_value) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class _DerivedLast:
+    """Mixin for a named tuple whose last field is derived from the others: equality and hashing leave it out."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1] if other.__class__ is self.__class__ else NotImplemented
+
+    def __ne__(self, other):  # tuple.__ne__ would not defer to __eq__, and would compare the last field too
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+
+class Alphabet(_Frozen):
     """Ordered alphabet with a bijection between user tokens and internal chars.
 
     The token order is total and defines the lexicographic rank used by every
@@ -59,22 +107,22 @@ class Alphabet:
     so comparing encoded strings agrees with comparing token sequences.
     """
 
-    tokens: tuple[str, ...]
-    token_mode: bool = False
+    _fields = _shown = ("tokens", "token_mode")
 
-    def __post_init__(self) -> None:
-        if not self.tokens:
+    def __init__(self, tokens: tuple[str, ...], token_mode: bool = False) -> None:
+        if not tokens:
             raise ValueError("alphabet must contain at least one letter")
-        if self.token_mode and len(self.tokens) > _MAX_TOKENS:
-            raise ValueError(f"token mode supports at most {_MAX_TOKENS:,} distinct tokens, got {len(self.tokens):,}")
-        if len(set(self.tokens)) != len(self.tokens):
+        if token_mode and len(tokens) > _MAX_TOKENS:
+            raise ValueError(f"token mode supports at most {_MAX_TOKENS:,} distinct tokens, got {len(tokens):,}")
+        if len(set(tokens)) != len(tokens):
             raise ValueError("alphabet tokens must be unique")
-        if SEPARATOR in self.tokens:
+        if SEPARATOR in tokens:
             raise ValueError("the separator '#' cannot be an alphabet letter")
-        if not self.token_mode:
-            for tok in self.tokens:
+        if not token_mode:
+            for tok in tokens:
                 if len(tok) != 1:
                     raise ValueError(f"char-mode letters must be single characters, got {tok!r}")
+        vars(self).update(tokens=tokens, token_mode=token_mode)
 
     @classmethod
     def from_text(cls, text: Iterable[str]) -> "Alphabet":
@@ -120,19 +168,18 @@ class Alphabet:
         return " ".join([dec.get(c, c) for c in encoded])
 
 
-@dataclass(frozen=True)
-class SanitizationInstance:
+class SanitizationInstance(_Frozen):
     """An immutable sanitization problem: sequence, k, and closed sensitive set.
 
     `mask` has one flag per window: mask[i] == 1 iff i is a sensitive
     occurrence start, for 0 <= i <= n-k.
     """
 
-    text: str
-    k: int
-    alphabet: Alphabet
-    sensitive_patterns: frozenset[str]
-    mask: bytes = field(repr=False)
+    _fields = ("text", "k", "alphabet", "sensitive_patterns", "mask")
+    _shown = _fields[:-1]
+
+    def __init__(self, text: str, k: int, alphabet: Alphabet, sensitive_patterns: frozenset[str], mask: bytes) -> None:
+        vars(self).update(text=text, k=k, alphabet=alphabet, sensitive_patterns=sensitive_patterns, mask=mask)
 
     @property
     def n(self) -> int:
@@ -232,7 +279,7 @@ def build_instance(
     mask = bytes(map(wanted_letters.__contains__, _letter_windows(text, k)))
     sens_patterns = frozenset(text[i : i + k] for i in compress(range(n - k + 1), mask))
     for pat in sorted(wanted - sens_patterns):
-        logger.warning("sensitive pattern %r does not occur in the input; nothing to conceal", alphabet.decode(pat))
+        _warn(__name__, "sensitive pattern %r does not occur in the input; nothing to conceal", alphabet.decode(pat))
 
     return SanitizationInstance(
         text=text,

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import deque, namedtuple
 
-from .core import SEPARATOR, SanitizationInstance
+from .core import SEPARATOR, SanitizationInstance, _DerivedLast
 from .metrics import edit_distance
 
 ANY = -1  # consuming-edge label: any single alphabet letter
@@ -47,14 +46,10 @@ STAY = ((0, -2),)  # each state's first consuming out-edge, to itself on a label
 STEP = (((1, 0),), ((1, 1),))  # col_out of a state whose one out-edge steps to the next: by epsilon, by an insertion
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    text: str
-    distance: int
-    trace: tuple[tuple[str, str], ...] | None = None
-    # The starting bound, edit_distance(source, '#'.join(chains)): the distance
+class MatchResult(_DerivedLast, namedtuple("MatchResult", "text distance trace shortest_distance", defaults=(None, None))):
+    # shortest_distance: the starting bound, edit_distance(source, '#'.join(chains)): the distance
     # to the TFS output, the language's shortest member.  Equality ignores it.
-    shortest_distance: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
 
 INF = 1 << 60  # above every distance the DP can reach
@@ -256,7 +251,7 @@ class _Matcher:
 def approx_regex_match(text: str, k: int, chains: tuple[str, ...]) -> MatchResult:
     """Closest string to `text` in the language of k and the source's chains, with a witness."""
     bound = edit_distance(text, SEPARATOR.join(chains))
-    return replace(_Matcher(k, chains).match(text, bound), shortest_distance=bound)
+    return _Matcher(k, chains).match(text, bound)._replace(shortest_distance=bound)
 
 
 def etfs_sanitize(inst: SanitizationInstance) -> MatchResult:

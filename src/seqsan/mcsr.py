@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Mapping, NamedTuple
+from collections import Counter, defaultdict, namedtuple
 
-from .core import SEPARATOR, SanitizationInstance, _letter_windows, kmer_counts
+from .core import SEPARATOR, SanitizationInstance, _DerivedLast, _letter_windows, kmer_counts
 
 EPSILON = ""  # deletion pseudo-letter
 _NO_CHOICE = "no admissible choice for separator {}; Z cannot be constructed"
@@ -49,8 +47,7 @@ class Infeasible(Exception):
     """No separator replacement satisfies the safety and capacity constraints."""
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(namedtuple("CostModel", "ghost sub sub_default theta tau")):
     """Ghost cost per created candidate window, substitution weights, capacity, threshold.
 
     `sub` maps a letter, or EPSILON for deletion, to its substitution weight;
@@ -60,11 +57,7 @@ class CostModel:
     resolves to the separator count of the string being rewritten.
     """
 
-    ghost: float
-    sub: Mapping[str, int]
-    sub_default: int
-    theta: float | None
-    tau: int
+    __slots__ = ()
 
 
 def uniform_cost_model(tau: int, theta: float | None = None) -> CostModel:
@@ -72,22 +65,20 @@ def uniform_cost_model(tau: int, theta: float | None = None) -> CostModel:
     return CostModel(ghost=1.0, sub={}, sub_default=1, theta=theta, tau=tau)
 
 
-class MckElement(NamedTuple):
-    choice: str  # alphabet letter, or "" for deletion
-    cost: float
-    weight: float
+class MckElement(namedtuple("MckElement", "choice cost weight")):
+    # choice: an alphabet letter, or "" for deletion
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class McsrResult:
-    text: str
-    choices: tuple[str, ...]
-    ghost_cost: float
-    total_weight: float
-    site_windows: tuple[tuple[int, str], ...]  # (separator index, realized window)
-    # The input's count of every pattern some choice exposes; a pattern that does not occur
-    # has no entry and reads 0.  A function of the input, so equality and hashing ignore it.
-    exposed_counts: Counter[str] = field(repr=False, compare=False)
+class McsrResult(_DerivedLast, namedtuple("McsrResult", "text choices ghost_cost total_weight site_windows exposed_counts")):
+    # site_windows: (separator index, realized window).  exposed_counts: the input's count of every pattern some
+    # choice exposes; a pattern that does not occur has no entry and reads 0.  A function of the input, so equality,
+    # hashing and the repr leave it out.
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"McsrResult({shown})"
 
     def changed_counts(self) -> tuple[Counter[str], Counter[str]]:
         """The input's and the output's counts of every pattern the rewrite added; no other count differs."""
@@ -302,7 +293,7 @@ def mcsr_sanitize(
         if len(block) < k - 1:
             raise ValueError(f"block {j} {block!r} lies between separators and has fewer than k-1 = {k - 1} letters")
     if cm.theta is None:
-        cm = dc_replace(cm, theta=float(len(parts) - 1))
+        cm = cm._replace(theta=float(len(parts) - 1))
     forbidden = inst.sensitive_patterns if implausible is None else inst.sensitive_patterns | implausible
     sites = separator_sites(text, k, inst.alphabet.chars, cm, forbidden)
     if not sites:

@@ -31,8 +31,7 @@ definition above.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import compress, zip_longest
 
 from .core import (
@@ -47,11 +46,8 @@ from .core import (
 VERIFY_LEVELS = ("C1", "P1", "Pi1", "P2", "P3", "P4")
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    level: str
-    ok: bool
-    detail: str | None = None
+class VerifyResult(namedtuple("VerifyResult", "level ok detail", defaults=(None,))):
+    __slots__ = ()
 
 
 def _leftover_chains(candidate: str, inst: SanitizationInstance) -> tuple[Counter[str], Counter[str]]:

@@ -418,6 +418,31 @@ def test_bad_invocation_is_input_error_before_any_file_is_touched(tmp_path, caps
     assert not absent.exists()
 
 
+@pytest.mark.parametrize("pipeline", ["tfs", "pfs", "etfs", "ba"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--theta", "5"], "--theta"),
+        (["--cost-model", ABSENT], "--cost-model"),
+        (["--rho", "-1"], "--rho"),
+        (["--rho", "-1", "--theta", "0", "--cost-model", ABSENT], "--theta, --cost-model, --rho"),
+    ],
+    ids=["theta", "cost-model", "rho", "all-three"],
+)
+def test_mcsr_flags_fail_fast_on_a_pipeline_without_mcsr(tmp_path, capsys, pipeline, flags, named):
+    absent = str(tmp_path / "absent.txt")
+    argv = ["sanitize", "--pipeline", pipeline, "--k", "3", *flags, "--in", absent, "--patterns", absent]
+    assert main([absent if a == ABSENT else a for a in argv]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: pipeline {pipeline} has no mcsr stage to read {named}\n"
+
+
+@pytest.mark.parametrize("pipeline", ["tfs", "pfs", "etfs", "ba"])
+def test_mcsr_flag_defaults_are_accepted_by_every_pipeline(example1_files, pipeline):
+    w, p, tmp = example1_files
+    flags = ["--theta", "auto", "--cost-model", "uniform", "--in", w, "--patterns", p, "--out", str(tmp / f"{pipeline}.txt")]
+    assert main(["sanitize", "--pipeline", pipeline, "--k", "4", *flags]) == EXIT_OK
+
+
 @pytest.mark.parametrize("sub", [[], ["sanitize"], ["gen"], ["verify"]])
 def test_help_exits_zero(capsys, sub):
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -212,7 +211,7 @@ class TestSeparatorSites:
             seen["short block"] += len(blocks) > 1 and any(0 < len(b) < k for b in blocks)
             seen["k = 1"] += k == 1 and len(blocks) > 1
             seen["no weight"] += any(w is None for ws in weights for w in ws)
-            unbounded = replace(cm, theta=math.inf)
+            unbounded = cm._replace(theta=math.inf)
             uncut = [[_direct_weight(text, i, c, k, unbounded, forbidden) for c in choices] for i in seps]
             seen["above theta"] += weights != uncut
         assert min(seen.values()) > 20, seen
@@ -355,7 +354,7 @@ def _parent_mcsr(text, inst, cm, implausible, rounds):
     if not seps:
         return text, (), 0.0, 0.0, (), {}
     if cm.theta is None:
-        cm = replace(cm, theta=float(seps))
+        cm = cm._replace(theta=float(seps))
     sites = []
     for i in range(1, seps + 1):
         options = []

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library, importing the command line loads the package's eight modules and no other, and every exported name exists once."""
+"""The runtime imports nothing outside the standard library, importing the command line loads the package's eight modules
+and no stdlib module a clean run does not use, its warnings read `WARNING <message>`, and every exported name exists once."""
 
 import ast
 import os
@@ -36,6 +37,32 @@ def test_cli_loads_only_the_package_modules_it_runs():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
     stages = ["cli", "core", "etfs", "mcsr", "metrics", "pfs", "tfs"]
     assert loaded == ["seqsan"] + [f"seqsan.{name}" for name in stages]
+
+
+def test_cli_import_loads_no_stdlib_module_a_clean_run_does_not_use():
+    # -S keeps site hooks from preloading modules; what argparse, json and re load is the parser's own.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import argparse, json, re; before = set(sys.modules); "
+        "import seqsan.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    added = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True).stdout.split()
+    assert not {"dataclasses", "inspect", "logging", "typing", "random", "string"} & set(added), added
+
+
+def test_cli_warnings_read_level_then_message(tmp_path):
+    # The first pattern has a letter absent from the sequence; the second never occurs.
+    (tmp_path / "w.txt").write_text("abab\n", encoding="utf-8")
+    patterns = tmp_path / "p.txt"
+    patterns.write_text("aq\naa\n", encoding="utf-8")
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from seqsan.cli import main; sys.exit(main(sys.argv[2:]))"
+    argv = ["sanitize", "--pipeline", "tfs", "--k", "2", "--in", str(tmp_path / "w.txt"), "--patterns", str(patterns)]
+    run = subprocess.run([sys.executable, "-c", code, str(SRC), *argv, "--out", str(tmp_path / "x.txt")], capture_output=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == (
+        f"WARNING {patterns}:1: pattern uses letters absent from the sequence; it cannot occur\n"
+        "WARNING sensitive pattern 'aa' does not occur in the input; nothing to conceal\n"
+    ).encode()
+    assert (tmp_path / "x.txt").read_text(encoding="utf-8") == "abab\n"
 
 
 def test_every_exported_name_exists_once():

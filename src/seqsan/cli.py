@@ -10,7 +10,8 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
+import gc
 import re
 import sys
 import time
@@ -22,6 +23,11 @@ from .etfs import etfs_sanitize
 from .mcsr import CostModel, Infeasible, implausible_set, mcsr_sanitize, uniform_cost_model
 from .pfs import pfs_sanitize
 from .tfs import tfs_sanitize
+
+# The interpreter's final collections walk every object still alive at exit; frozen, those are skipped.  By then
+# every file the CLI wrote is closed, and the interpreter flushes stdout itself.  Frozen at exit, not at import,
+# so that collection stays unchanged in any process that imports this module or runs `main`.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -131,7 +137,7 @@ def _read_sequence(path: str, mode: str) -> tuple[str, Alphabet]:
     return text, Alphabet.from_text(letters)
 
 
-def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alphabet):
+def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alphabet, n: int):
     raw = _read(path)
     pats: list[str] = []
     poss: list[int] = []
@@ -142,9 +148,12 @@ def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alph
             continue
         if positions:
             try:
-                poss.append(int(line))
+                pos = int(line)
             except ValueError:
                 raise InputError(f"{path}:{lineno}:1: expected an integer position, got {line!r}") from None
+            if k < n and not 0 <= pos <= n - k:  # with k >= n, build_instance names k instead
+                raise InputError(f"{path}:{lineno}:1: position {pos} outside valid range 0..{n - k}")
+            poss.append(pos)
             continue
         tokens = line.split() if mode == "token" else list(line)
         if len(tokens) != k:
@@ -160,7 +169,7 @@ def _read_patterns(path: str, mode: str, k: int, positions: bool, alphabet: Alph
 def parse_inputs(args: argparse.Namespace) -> SanitizationInstance:
     """Read and encode the sequence (`--in`) and the sensitive patterns or positions (`--patterns`)."""
     text, alphabet = _read_sequence(args.in_path, args.mode)
-    patterns, positions = _read_patterns(args.patterns, args.mode, args.k, args.positions, alphabet)
+    patterns, positions = _read_patterns(args.patterns, args.mode, args.k, args.positions, alphabet, len(text))
     return build_instance(text, args.k, patterns=patterns, positions=positions, alphabet=alphabet)
 
 
@@ -183,6 +192,8 @@ def _load_cost_model(args: argparse.Namespace, alphabet: Alphabet) -> CostModel:
     """'uniform', or the JSON file `--cost-model` names; a malformed file is an input error naming it and the field."""
     if args.cost_model == "uniform":
         return uniform_cost_model(tau=args.tau, theta=args.theta)
+    import json  # only a cost-model file needs it; a command without one starts faster
+
     path = args.cost_model
     try:
         spec = json.loads(_read(path), parse_int=_json_int)

@@ -152,15 +152,18 @@ def test_bad_pattern_length_is_input_error(tmp_path):
     "k, patterns, flags, last",
     [
         ("9", "", [], "error: k must satisfy 0 < k < 8, got 9"),
-        ("3", "0\n6\n", ["--positions"], "error: position 6 outside valid range 0..5"),
+        ("3", "0\n6\n", ["--positions"], "error: {p}:2:1: position 6 outside valid range 0..5"),
+        ("3", "\n-1\n", ["--positions"], "error: {p}:2:1: position -1 outside valid range 0..5"),
+        ("9", "0\n6\n", ["--positions"], "error: k must satisfy 0 < k < 8, got 9"),
     ],
-    ids=["k of 9 on 8 letters", "position past n - k"],
+    ids=["k of 9 on 8 letters", "position past n - k", "negative position", "k of 9 before its positions"],
 )
 def test_k_or_position_out_of_range_names_the_range(tmp_path, capsys, k, patterns, flags, last):
     w = write(tmp_path / "w.txt", "abcabcab\n")
     p = write(tmp_path / "p.txt", patterns)
-    assert main(["sanitize", "--pipeline", "tfs", "--k", k, "--in", w, "--patterns", p, *flags]) == EXIT_INPUT_ERROR
-    assert capsys.readouterr().err.strip().splitlines()[-1] == last
+    for command in (["sanitize", "--pipeline", "tfs"], ["verify", "--candidate", w]):
+        assert main([*command, "--k", k, "--in", w, "--patterns", p, *flags]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.strip().splitlines()[-1] == last.format(p=p)
 
 
 def test_token_mode_round_trip(tmp_path):

@@ -237,7 +237,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
         report.runtimes_ms[name] = (time.perf_counter() - start) * 1000.0
         return value
 
-    # A TFS or PFS output keeps every non-sensitive count of the source (P2), the only counts measured.
+    # A TFS, PFS or ETFS output keeps every non-sensitive count of the source (P2), the only counts measured.
     before = after = Counter()
     implausible = avoided = None
     for stage in stages:
@@ -265,7 +265,7 @@ def run_pipeline(args: argparse.Namespace, inst: SanitizationInstance) -> tuple[
             # The cut-off starts from the TFS output's distance, the heuristic one that edre compares with the optimum.
             # An optimum of 0 means no window is sensitive, so the TFS output is the source and edre is 0.
             report.edre = mt.edre(match.shortest_distance, match.distance)
-            out, before, after = match.text, inst.counts, kmer_counts(match.text, inst.k)
+            out = match.text
         elif stage == "ba":
             out = timed("ba", mt.ba_sanitize, inst)
             report.lengths["zba"] = len(out)

@@ -12,8 +12,7 @@ filler is any separator-delimited string that never runs k alphabet letters
 in a row.  The optimum is found by approximate regular-expression matching:
 compile the language to an epsilon-automaton with symbolic any-letter edges
 and run an edit-distance dynamic program over (input position, automaton
-state), then trace back a witness.  The automaton is built once, straight
-into the in-edges of each state, which the traceback tries in order, and the
+state), then trace back a witness.  The automaton is built once, as the
 out-edges of each state, which the forward pass follows.
 
 A column starts from the cells the previous column kept: each offers the
@@ -29,14 +28,17 @@ consistent heuristic: no cell of an alignment within D is dropped, and no
 dropped cell could have given a kept one its value.  D is the distance to the
 TFS output (the language's shortest member), as in Ukkonen's cut-off, so it
 is never below the optimum.  A column stores only its kept states and their
-values; the traceback re-derives each parent from those stored cells.
+values; the traceback re-derives each parent from those stored cells' out-
+edges, which run at most 2k states forward or k - 1 back.  It tries the
+consuming edges into a state from the nearest source below down, then the '#'
+back-edge, and the in-column ones by ascending source.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .core import SEPARATOR, SanitizationInstance, _DerivedLast
 from .metrics import edit_distance
@@ -74,95 +76,92 @@ class _Matcher:
     """Edit-distance DP over (input position, automaton state), pruned to a bound.
 
     A state's candidates come in one fixed order: delete the input letter,
-    consume it on an edge into the state (edge order), then reach the state
-    inside the column by an epsilon move (cost 0) or an inserted letter
-    (cost 1) in (source, cost, edge) order.  Its parent is the first candidate
-    with the least value, so the forward pass keeps values only and the
-    traceback re-derives each parent from the stored cells.
+    consume it on an edge into the state (in the order the edges were made:
+    from the nearest source below, at most 2k below, down, then the '#'
+    back-edge from at most k - 1 above), then reach the state inside the
+    column by an epsilon move (cost 0) or an inserted letter (cost 1) by
+    ascending source.  Its parent is the first candidate with the least value,
+    so the forward pass keeps values only and the traceback re-derives each
+    parent from the stored cells' out-edges.
     """
 
     def __init__(self, k: int, chains: tuple[str, ...]):
-        sep, shared = ord(SEPARATOR), _Shared()
-        # In-edges of each state, in the order the traceback tries them:
-        # cons_in (src, label) in creation order, col_in (src, cost, label) by
-        # ascending source, one edge per source.  Its out-edges, for the sweep,
-        # are shared tuples.  minsep[s], the fewest '#' from s to accept, is the
-        # chain junctions still ahead, plus one in any filler loop but the last.
-        cons_in: list[list[tuple[int, int]]] = [[]]
-        col_in: list[list[tuple[int, int, int]]] = [[]]
-        cons_out: list[tuple] = [STAY]  # (dst - src, label) pairs
-        col_out: list[tuple] = [()]  # (dst - src, cost) pairs
+        sep, shared, self.k = ord(SEPARATOR), _Shared(), k
+        # Each state's out-edges are shared tuples.  minsep[s], the fewest '#'
+        # from s to accept, is the chain junctions still ahead, plus one in any
+        # filler loop but the last; minrem[s], the fewest letters, follows the
+        # shortest member, which fuses every window it can.
+        self.cons_out = cons_out = [STAY]  # (dst - src, label) pairs
+        self.col_out = col_out = [()]  # (dst - src, cost) pairs
         self.minsep = minsep = [max(0, len(chains) - 1)]
+        self.minrem = minrem = [len(SEPARATOR.join(chains))]
 
-        def chain(src: int, labels, owed: int) -> int:
-            """One new state per label after `src`, each owing `owed` '#'; an ANY step may also be skipped."""
+        def chain(src: int, labels, owed: int, rem: int) -> int:
+            """One new state per label after `src`, owing `owed` '#' and `rem` letters less its letter steps; ANY steps may be skipped."""
             for lab in labels:
-                dst = len(cons_in)
+                dst = len(cons_out)
                 # The epsilon edge beside an ANY step costs less than inserting a letter on it, so it stands in.
                 w = 0 if lab == ANY else 1
-                cons_in.append([(src, lab)])
-                col_in.append([(src, w, lab)])
                 step = dst == src + 1 and cons_out[src] is STAY  # src's first out-edge, to the state after it
                 cons_out[src] = shared[lab] if step else shared[cons_out[src], dst - src, lab]
                 col_out[src] = STEP[w] if step else shared[col_out[src], dst - src, w]
                 cons_out.append(STAY)
                 col_out.append(())
                 minsep.append(owed)
+                minrem.append(rem := rem - w)
                 src = dst
             return src
 
         def loop(head: int, owed: int) -> int:
-            """Filler at `head`: up to k-1 letters, then '#' back to the head."""
-            last = chain(head, [ANY] * (k - 1), owed)
+            """Filler at `head`: up to k-1 letters, then '#' back to the head, or in the last loop (owing no '#') on to accept."""
+            last = chain(head, [ANY] * (k - 1), owed, minrem[head] + 1 if owed else 0)
             # The only backward edge.  A value at `last` comes through `head`
             # or from the previous column at a loop state, where `last` is
             # epsilon-reachable and so no worse; consuming the letter as '#'
             # on this edge already offered `head` that value plus one.  So it
-            # never lowers `head` inside a column: it is not in col_in.
-            cons_in[head].append((last, sep))
+            # never lowers `head` inside a column: it is not in col_out.
             cons_out[last] = shared[cons_out[last], head - last, sep]
             return last
 
         if not chains:
-            cur = chain(0, [ANY] * (k - 1), 0)
+            cur = chain(0, [ANY] * (k - 1), 0, 0)
         else:
             loop(0, len(chains))  # leading filler loops back to the start
-            cur = chain(0, map(ord, chains[0][:k]), len(chains) - 1)
+            cur = chain(0, map(ord, chains[0][:k]), len(chains) - 1, minrem[0])
             # Every later window, the one ending at spelled[i], follows filler;
             # after a chain's first window it may instead fuse on by spelled[i].
             for c, spelled in enumerate(chains):
                 owed = len(chains) - 1 - c
                 for i in range(k - 1 if c else k, len(spelled)):
-                    h = chain(cur, [sep], owed)
+                    # The letters owed after this window: a fused one spells
+                    # one letter at cur, a chain's first one '#' and k letters.
+                    ahead = minrem[cur] - (1 if i >= k else k + 1)
+                    h = chain(cur, [sep], owed, ahead + k + 1)
                     loop(h, owed + 1)
-                    nxt = chain(h, map(ord, spelled[i - k + 1 : i + 1]), owed)
+                    nxt = chain(h, map(ord, spelled[i - k + 1 : i + 1]), owed, ahead + k)
                     if i >= k:  # the fused edge's source is below the chain edge's, nxt - 1
-                        lab = ord(spelled[i])
-                        cons_in[nxt].append((cur, lab))
-                        col_in[nxt].insert(0, (cur, 1, lab))
-                        cons_out[cur] = shared[cons_out[cur], nxt - cur, lab]
+                        cons_out[cur] = shared[cons_out[cur], nxt - cur, ord(spelled[i])]
                         col_out[cur] = shared[col_out[cur], nxt - cur, 1]
                     cur = nxt
-        last = loop(chain(cur, [sep], 0), 0)
-        self.accept = accept = chain(cur, [ANY], 0)  # for its epsilon edge from cur; accept consumes nothing
-        cons_in[accept], cons_out[cur] = [], cons_out[cur][:-1]
-        col_in[accept].append((last, 0, ANY))
+        last = loop(chain(cur, [sep], 0, 1), 0)
+        self.accept = accept = chain(cur, [ANY], 0, 0)  # for its epsilon edge from cur; accept consumes nothing
+        cons_out[cur] = cons_out[cur][:-1]
         col_out[last] = shared[col_out[last], accept - last, 0]
-        self.cons_in, self.col_in, self.cons_out, self.col_out = cons_in, col_in, cons_out, col_out
-        # minrem[s]: the fewest letters a path from s to accept emits, by a
-        # backward 0-1 BFS (a consuming edge emits one letter, an epsilon none).
-        self.minrem = minrem = [INF] * accept + [0]
-        queue = deque([accept])
-        while queue:
-            x = queue.popleft()
-            for s, _lab in cons_in[x]:
-                if minrem[x] + 1 < minrem[s]:
-                    minrem[s] = minrem[x] + 1
-                    queue.append(s)
-            for s, w, _lab in col_in[x]:  # the epsilon edges, among others
-                if w == 0 and minrem[x] < minrem[s]:
-                    minrem[s] = minrem[x]
-                    queue.appendleft(s)
+
+    def _letter_edges_into(self, column: tuple[array, array], x: int) -> list[tuple[int, int]]:
+        """(i, label) of each consuming edge into x from the column's i-th kept cell, in candidate order."""
+        states = column[0]
+        lo, mid, hi = (bisect_left(states, s) for s in (x - 2 * self.k, x, x + self.k))
+        near = [*range(mid - 1, lo - 1, -1), *range(mid, hi)]
+        return [(i, lab) for i in near for d, lab in self.cons_out[states[i]][1:] if states[i] + d == x]  # [1:]: not STAY
+
+    def _column_edges_into(self, column: tuple[array, array], x: int) -> list[tuple[int, int, int]]:
+        """(i, cost, label) of each in-column edge into x from the column's i-th kept cell, by ascending source."""
+        states, cons_out, col_out = column[0], self.cons_out, self.col_out
+        near = range(bisect_left(states, x - 2 * self.k), bisect_left(states, x))
+        # An inserted letter is the label of the consuming edge beside its edge; an epsilon edge's is ANY.
+        return [(i, w, next(lab for e, lab in cons_out[states[i]] if e == d) if w else ANY)
+                for i in near for d, w in col_out[states[i]] if states[i] + d == x]
 
     def _column(self, cur: list[int], todo: list[int], bound: int, rem: int) -> tuple[array, array]:
         """Settle the states in `todo`, whose values the previous column offered in `cur`, in increasing order.
@@ -222,26 +221,26 @@ class _Matcher:
             raise ValueError(f"no alignment within bound {bound}; the bound must be at least the optimal distance")
 
         trace: list[tuple[str, str]] = []
-        j, x = n, self.accept
+        j, x, v = n, self.accept, distance
         while j or x:
-            cur = columns[j]
-            v = _value(cur, x)
             if j:
                 prev, ch, oc = columns[j - 1], text[j - 1], codes[j - 1]
                 if _value(prev, x) + 1 == v:
                     trace.append(("delete", ch))
-                    j -= 1
+                    j, v = j - 1, v - 1
                     continue
-                step = next((e for e in self.cons_in[x] if _value(prev, e[0]) + (e[1] not in (ANY, oc)) == v), None)
+                step = next(((i, lab) for i, lab in self._letter_edges_into(prev, x) if prev[1][i] + (lab not in (ANY, oc)) == v), None)
                 if step is not None:
-                    x, lab = step
+                    i, lab = step
                     out = ch if lab == ANY else chr(lab)
                     trace.append(("match" if out == ch else "substitute", out))
-                    j -= 1
+                    j, x, v = j - 1, prev[0][i], prev[1][i]
                     continue
-            x, w, lab = next(e for e in self.col_in[x] if _value(cur, e[0]) + e[1] == v)
+            cur = columns[j]
+            i, w, lab = next(e for e in self._column_edges_into(cur, x) if cur[1][e[0]] + e[1] == v)
             if w:
                 trace.append(("insert", chr(lab)))  # a cost-1 edge has a letter; ANY steps move by epsilon
+            x, v = cur[0][i], cur[1][i]
 
         trace.reverse()
         witness = "".join(out for op, out in trace if op != "delete")

@@ -275,7 +275,7 @@ def matches(k: int, letters: str, chains: tuple[str, ...], text: str) -> bool:
 
 
 class EdgeListAutomaton:
-    """The ETFS epsilon-automaton as two edge lists, for checking the matcher's in-edge lists.
+    """The ETFS epsilon-automaton as two edge lists, for checking the matcher's edges and bounds.
 
     `cons` holds (src, dst, label) for the consuming edges, where a label is a
     letter's ord or ANY (any letter), and `eps` holds (src, dst) for the

@@ -569,7 +569,7 @@ def _record_instances(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("pipeline", ["tpm", "tm", "tfs", "pfs"])
+@pytest.mark.parametrize("pipeline", ["tpm", "tm", "tfs", "pfs", "etfs"])
 def test_source_is_never_counted(example1_files, monkeypatch, pipeline):
     w, p, tmp = example1_files
     calls = _count_calls(monkeypatch)
@@ -577,7 +577,7 @@ def test_source_is_never_counted(example1_files, monkeypatch, pipeline):
     argv = ["sanitize", "--pipeline", pipeline, "--k", "4", "--tau", "1", "--in", w, "--patterns", p,
             "--out", str(tmp / "z.txt"), "--report", str(tmp / "rep.txt")]
     assert main(argv) == EXIT_OK
-    # A TFS or PFS output keeps the source's non-sensitive counts; MCSR counts its input only on what it can expose.
+    # A TFS, PFS or ETFS output keeps the source's non-sensitive counts; MCSR counts its input only on what it can expose.
     assert calls == []
     assert len(built) == 1 and "counts" not in built[0].__dict__
 
@@ -626,6 +626,25 @@ def test_separator_pipeline_reports_equal_the_recount(tmp_path):
         seen["tmi avoids"] += pipeline == "tmi" and "#" in y and bool(implausible_set(inst, rho))
         seen["ghost"] += bool(report.ghost)
     assert seen["measured"] >= 3_000 and min(seen.values()) > 50, seen
+
+
+def test_etfs_reports_equal_the_recount():
+    # An ETFS output passes P2, so its report measures no count; a recount of the whole output must agree.
+    parser = cli.build_parser()
+    rng = random.Random(64)
+    seen = Counter()
+    for case in range(300):
+        inst = random_instance(rng, n_min=4, n_max=40, sigmas=(1, 2, 3, 4), ks=(1, 2, 3, 4, 5), sensitive_rate=0.3)
+        tau = rng.randint(1, 3)
+        argv = ["sanitize", "--pipeline", "etfs", "--k", str(inst.k), "--tau", str(tau), "--in", "-", "--patterns", "-"]
+        out, report = cli.run_pipeline(parser.parse_args(argv), inst)
+        want = frequency_changes(inst.counts, kmer_counts(out, inst.k), tau, inst.sensitive_patterns)
+        assert (report.distortion, set(report.lost), set(report.ghost)) == want, (inst.text, inst.k, tau)
+        seen["edited"] += report.edit_distance > 0
+        seen["separated"] += "#" in out
+        seen["edited without '#'"] += report.edit_distance > 0 and "#" not in out
+        seen[f"tau {tau}"] += 1
+    assert min(seen.values()) > 10, seen
 
 
 @pytest.mark.parametrize("pipeline", ["tmi", "tpm", "tm"])

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -24,7 +26,7 @@ class TestBuildRegex:
         # loop (k - 1) and the first window (k) take 2k states; each later window
         # 2k (its '#', its filler loop and its letters); the closing '#' and
         # filler k; the accept state 1: 2kW + k + 1.
-        assert len(_Matcher(4, example_merge_chain.chains).cons_in) == 2 * 4 * 6 + 4 + 1
+        assert len(_Matcher(4, example_merge_chain.chains).cons_out) == 2 * 4 * 6 + 4 + 1
 
     def test_single_window(self):
         inst = build_instance("aab", 2, patterns=["ab"])
@@ -33,7 +35,7 @@ class TestBuildRegex:
     def test_all_sensitive_is_the_filler_language(self, example_all_sensitive):
         # No chain: exactly the strings over a, b and '#' with no 4 letters in a row.
         assert example_all_sensitive.chains == ()
-        assert len(_Matcher(4, ()).cons_in) == 2 * 4 + 1  # start, k-1 optional letters, '#', its loop's k-1, accept
+        assert len(_Matcher(4, ()).cons_out) == 2 * 4 + 1  # start, k-1 optional letters, '#', its loop's k-1, accept
         for n in range(9):
             for s in map("".join, itertools.product("ab#", repeat=n)):
                 assert matches(4, "ab", (), s) == all(len(run) < 4 for run in s.split("#")), s
@@ -134,7 +136,9 @@ class TestApproxRegexMatch:
     def test_in_column_edges_match_the_sorted_build(self):
         # The reference: sort every edge of the edge-list automaton as (src,
         # cost, dst, edge index, label) and keep, per (dst, src) with src < dst,
-        # the first one; the consuming in-edges come in creation order.
+        # the first one; the consuming in-edges come in creation order.  The
+        # traceback derives both from a column's cells, here one that keeps
+        # every state, so a cell's index is its state.
         rng = random.Random(26)
         for case in range(3000):
             inst = random_instance(rng, n_min=2, n_max=40, ks=(1, 2, 3, 4, 5))
@@ -147,11 +151,12 @@ class TestApproxRegexMatch:
                 if src < dst and all(s != src for s, _w, _lab in want[dst]):
                     want[dst].append((src, w, lab))
             matcher = _Matcher(inst.k, chains)
-            assert matcher.col_in == want, (inst.text, inst.k)
+            every = (array("i", range(auto.n_states)), array("i", [0] * auto.n_states))
+            assert [matcher._column_edges_into(every, x) for x in range(auto.n_states)] == want, (inst.text, inst.k)
             cons_in = [[] for _ in range(auto.n_states)]
             for src, dst, lab in auto.cons:
                 cons_in[dst].append((src, lab))
-            assert matcher.cons_in == cons_in, (inst.text, inst.k)
+            assert [matcher._letter_edges_into(every, x) for x in range(auto.n_states)] == cons_in, (inst.text, inst.k)
             assert matcher.accept == auto.accept
             # The out-edges are exactly the transpose of the in-edges, as
             # (dst - src, label) and (dst - src, cost) pairs; each state's
@@ -328,16 +333,20 @@ class TestEtfsSanitize:
             assert res.distance == edit_distance(inst.text, res.text)
 
 
+def _sparse_instance(n=2000):
+    """n letters over 10, k = 5, with the windows at n/100 random positions sensitive."""
+    rng = random.Random(32)
+    text = "".join(rng.choice("abcdefghij") for _ in range(n))
+    return build_instance(text, 5, positions=rng.sample(range(n - 4), n // 100))
+
+
 class TestComplexityEnvelope:
     def test_a_column_settles_only_its_frontier(self, monkeypatch):
         # Work, not wall clock, on a sparse input: a column settles the states
         # the previous column's kept cells reach, and those its own kept cells
         # reach, about 2 per kept cell here.  A sweep over every state from a
         # column's first kept one to its last settles about 10 per kept cell.
-        rng = random.Random(32)
-        n = 2000
-        text = "".join(rng.choice("abcdefghij") for _ in range(n))
-        inst = build_instance(text, 5, positions=rng.sample(range(n - 4), n // 100))
+        inst = _sparse_instance()
         matcher = _Matcher(inst.k, inst.chains)
         column, work = matcher._column, {"settled": 0, "kept": 0}
 
@@ -352,12 +361,25 @@ class TestComplexityEnvelope:
         assert work["kept"] == 71691  # the cells whose value plus h is within the bound, of the unpruned table
         assert work["kept"] <= work["settled"] <= 3 * work["kept"], work
 
+    def test_the_automaton_takes_under_100_bytes_a_state(self):
+        # Allocations, not wall time or RSS, so the bound is deterministic.  A
+        # state holds a shared out-edge tuple of each kind and its two bounds.
+        inst = _sparse_instance()
+        tracemalloc.start()
+        try:
+            matcher = _Matcher(inst.k, inst.chains)
+            size, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(matcher.cons_out) == 19766
+        assert size <= 100 * len(matcher.cons_out), size / len(matcher.cons_out)
+
     def test_state_count_is_exact(self):
         # 2kW + k + 1 states for W >= 1 chain windows (see test_example_structure), 2k + 1 with no chain.
         rng = random.Random(21)
         for _ in range(20):
             inst = random_instance(rng, n_min=10, n_max=80)
-            n_states = len(_Matcher(inst.k, inst.chains).cons_in)
+            n_states = len(_Matcher(inst.k, inst.chains).cons_out)
             windows = sum(len(chain) - inst.k + 1 for chain in inst.chains)
             assert n_states == (2 * inst.k * windows + inst.k + 1 if windows else 2 * inst.k + 1)
             n_anchors = len(nonsensitive_starts(inst))
